@@ -39,8 +39,6 @@ from .reference import RefTrace, roundtrip_ref
 from .stream import (
     DEFAULT_EXPONENT_BITS,
     ArrayHeader,
-    BitReader,
-    BitWriter,
     CompressedBlock,
     ContainerError,
     DecodeError,
@@ -53,8 +51,6 @@ from .stream import (
 
 __all__ = [
     "ArrayHeader",
-    "BitReader",
-    "BitWriter",
     "BlockFP",
     "CodecParams",
     "CompressedBlock",

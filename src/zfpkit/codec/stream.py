@@ -1,4 +1,4 @@
-"""Container serialization: header, per-block bit stream, plane coder.
+"""Container serialization: header, per-block records, plane coder.
 
 Wire format (all multi-byte fields little-endian):
 
@@ -8,7 +8,7 @@ Wire format (all multi-byte fields little-endian):
     u16     k
     u16     q
     u16     beta
-    u8      b_e            exponent field width in bits
+    u8      b_e            exponent field width in bits, 2..32
     u8      flags          bit 0: wide-beta opt-in was active
     u32*d   dims           grid extents, slowest axis first
 
@@ -16,10 +16,16 @@ then one bit-packed record per block, MSB-first within each byte and
 byte-aligned per block:
 
     1 bit   all-zero flag (1 -> nothing else follows for this block)
-    b_e bits  biased block exponent e_max + (2**(b_e-1) - 1)
+    b_e bits  biased block exponent e_max + (2**(b_e-1) - 1), e_max <= 1023
     beta planes, most significant digit position (q+1) first; each plane is
     a single 0 test bit when all 4**d bits are zero, otherwise a 1 followed
     by the raw plane bits in coefficient order.
+
+A record therefore spans at most ceil((1 + b_e + beta*(1 + 4**d)) / 8)
+bytes.  Each record is built as one Python int and written with a single
+``int.to_bytes``; the reader parses it from one ``int.from_bytes`` window of
+that many bytes.  The payload ends with the last record: trailing bytes
+make the container invalid.
 """
 
 from __future__ import annotations
@@ -37,7 +43,11 @@ MAGIC = b"ZFPK"
 VERSION = 1
 DEFAULT_EXPONENT_BITS = 11  # covers IEEE-double block exponents with headroom
 
+_EXPONENT_BITS_RANGE = range(2, 33)
+_MAX_BLOCK_EXPONENT = 1023  # largest exponent of a finite float64
+
 _FLAG_WIDE_BETA = 0x01
+_ZERO_RECORD = 0x80  # the whole record of an all-zero block: flag bit, padding
 
 
 class ContainerError(ValueError):
@@ -57,65 +67,6 @@ class DecodeError(ContainerError):
         super().__init__(message + suffix)
         self.block = block
         self.plane = plane
-
-
-class BitWriter:
-    """MSB-first bit packer."""
-
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._n = 0
-
-    def write_bit(self, bit: int):
-        self._acc = (self._acc << 1) | (bit & 1)
-        self._n += 1
-        if self._n == 8:
-            self._bytes.append(self._acc)
-            self._acc = 0
-            self._n = 0
-
-    def write_bits(self, value: int, width: int):
-        for i in range(width - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
-
-    def align(self):
-        """Pad with zero bits to the next byte boundary."""
-        while self._n:
-            self.write_bit(0)
-
-    def getvalue(self) -> bytes:
-        self.align()
-        return bytes(self._bytes)
-
-    @property
-    def bit_length(self) -> int:
-        return 8 * len(self._bytes) + self._n
-
-
-class BitReader:
-    """MSB-first bit unpacker over a bytes buffer."""
-
-    def __init__(self, data: bytes, start_byte: int = 0):
-        self._data = data
-        self._pos = 8 * start_byte
-
-    def read_bit(self) -> int:
-        byte = self._pos >> 3
-        if byte >= len(self._data):
-            raise EOFError("bit stream exhausted")
-        bit = (self._data[byte] >> (7 - (self._pos & 7))) & 1
-        self._pos += 1
-        return bit
-
-    def read_bits(self, width: int) -> int:
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | self.read_bit()
-        return v
-
-    def align(self):
-        self._pos = (self._pos + 7) & ~7
 
 
 @dataclass(frozen=True)
@@ -163,6 +114,8 @@ def read_header(data: bytes) -> tuple[ArrayHeader, int]:
         raise ContainerError(f"unsupported container version {version}")
     if not 1 <= d <= 3:
         raise ContainerError(f"unsupported dimensionality {d}")
+    if b_e not in _EXPONENT_BITS_RANGE:
+        raise ContainerError(f"exponent field width b_e={b_e} outside [2, 32]")
     end = 14 + 4 * d
     if len(data) < end:
         raise ContainerError("container truncated inside dims")
@@ -198,48 +151,56 @@ class CompressedBlock:
             raise ValueError("all-zero block must carry no payload")
 
 
-def _write_planes(nb: NegaBlock, p: CodecParams, writer: BitWriter):
+def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
+    """Coded planes of a nonzero block as one MSB-first int; returns (value, nbits)."""
     # one test bit per plane; nonzero planes follow raw in coefficient order
-    n = len(nb.digits)
+    n = p.n
+    value = nbits = 0
     for pos in range(p.q + 1, p.q + 1 - p.beta, -1):
         plane = 0
         for u in nb.digits:
             plane = (plane << 1) | ((u >> pos) & 1)
         if plane:
-            writer.write_bit(1)
-            writer.write_bits(plane, n)
+            value = (((value << 1) | 1) << n) | plane
+            nbits += 1 + n
         else:
-            writer.write_bit(0)
+            value <<= 1
+            nbits += 1
+    return value, nbits
 
 
-def _read_planes(reader: BitReader, p: CodecParams, e_max: int,
-                 block_index: int | None = None) -> NegaBlock:
+def _unpack_planes(window: int, avail: int, p: CodecParams, e_max: int,
+                   block_index: int | None = None) -> tuple[NegaBlock, int]:
+    """Parse the coded planes from the top of the ``avail``-bit int ``window``.
+
+    Returns the block and the number of low bits of ``window`` left unread.
+    """
     n = p.n
+    mask = (1 << n) - 1
     digits = [0] * n
     for plane_idx, pos in enumerate(range(p.q + 1, p.q + 1 - p.beta, -1)):
-        try:
-            if reader.read_bit():
-                plane = reader.read_bits(n)
-            else:
-                plane = 0
-        except EOFError as e:
+        coded = avail > 0 and (window >> (avail - 1)) & 1
+        width = 1 + n if coded else 1
+        if avail < width:
             raise DecodeError("stream ends inside plane payload",
-                              block=block_index, plane=plane_idx) from e
-        if plane:
+                              block=block_index, plane=plane_idx)
+        avail -= width
+        if coded:
+            plane = (window >> avail) & mask
             for c in range(n):
                 if (plane >> (n - 1 - c)) & 1:
                     digits[c] |= 1 << pos
-    return NegaBlock(tuple(digits), e_max)
+    return NegaBlock(tuple(digits), e_max), avail
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
     """Code the kept planes of one block losslessly."""
     if nb.is_zero:
         return CompressedBlock(True, None, p.beta, b"", 0)
-    writer = BitWriter()
-    _write_planes(nb, p, writer)
-    nbits = writer.bit_length
-    return CompressedBlock(False, nb.e_max, p.beta, writer.getvalue(), nbits)
+    value, nbits = _pack_planes(nb, p)
+    nbytes = (nbits + 7) // 8
+    payload = (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+    return CompressedBlock(False, nb.e_max, p.beta, payload, nbits)
 
 
 def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
@@ -248,35 +209,9 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
         raise DecodeError(f"record carries beta={cb.beta}, params say {p.beta}")
     if cb.zero_flag:
         return NegaBlock((0,) * p.n, None)
-    return _read_planes(BitReader(cb.payload), p, cb.e_max)
-
-
-def _write_block_record(cb: CompressedBlock, writer: BitWriter, b_e: int):
-    """Container layout: zero flag, biased exponent, then the coded planes."""
-    if cb.zero_flag:
-        writer.write_bit(1)
-        return
-    writer.write_bit(0)
-    bias = (1 << (b_e - 1)) - 1
-    stored = cb.e_max + bias
-    if not 0 <= stored < (1 << b_e):
-        raise ParamError(
-            f"block exponent {cb.e_max} does not fit a {b_e}-bit biased field; raise b_e")
-    writer.write_bits(stored, b_e)
-    reader = BitReader(cb.payload)
-    for _ in range(cb.payload_bits):
-        writer.write_bit(reader.read_bit())
-
-
-def _read_block_record(reader: BitReader, p: CodecParams, b_e: int,
-                       block_index: int | None = None) -> NegaBlock:
-    try:
-        if reader.read_bit():
-            return NegaBlock((0,) * p.n, None)
-        e_max = reader.read_bits(b_e) - ((1 << (b_e - 1)) - 1)
-    except EOFError as e:
-        raise DecodeError("stream ends inside block prologue", block=block_index) from e
-    return _read_planes(reader, p, e_max, block_index)
+    nb, _ = _unpack_planes(int.from_bytes(cb.payload, "big"), 8 * len(cb.payload),
+                           p, cb.e_max)
+    return nb
 
 
 def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> bytes:
@@ -288,16 +223,25 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
         raise GridShapeError("empty grid")
     if not np.isfinite(grid).all():
         raise ValueError("grid contains NaN or infinity; only finite values compress")
-    if not 2 <= b_e <= 32:
+    if b_e not in _EXPONENT_BITS_RANGE:
         raise ParamError(f"b_e must be in [2, 32], got {b_e}")
     header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
                          beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
+    bias = (1 << (b_e - 1)) - 1
     out = bytearray(_pack_header(header))
     for values in partition(grid):
-        writer = BitWriter()
-        cb = encode_planes(compress_block(values, params), params)
-        _write_block_record(cb, writer, b_e)
-        out += writer.getvalue()
+        nb = compress_block(values, params)
+        if nb.is_zero:
+            out.append(_ZERO_RECORD)
+            continue
+        stored = nb.e_max + bias
+        if not 0 <= stored < (1 << b_e):
+            raise ParamError(
+                f"block exponent {nb.e_max} does not fit a {b_e}-bit biased field; raise b_e")
+        value, nbits = _pack_planes(nb, params)
+        width = 1 + b_e + nbits  # the leading zero flag is the int's top bit
+        nbytes = (width + 7) // 8
+        out += (((stored << nbits) | value) << (8 * nbytes - width)).to_bytes(nbytes, "big")
     return bytes(out)
 
 
@@ -305,11 +249,31 @@ def decompress(data: bytes) -> np.ndarray:
     """Decompress a container back to a float64 array of the stored dims."""
     header, offset = read_header(data)
     params = header.params()
-    reader = BitReader(data, start_byte=offset)
+    b_e = header.b_e
+    bias = (1 << (b_e - 1)) - 1
+    window_bytes = (1 + b_e + params.beta * (1 + params.n) + 7) // 8
     blocks = []
     for i in range(header.block_count):
-        reader.align()
-        nb = _read_block_record(reader, params, header.b_e, block_index=i)
+        chunk = data[offset:offset + window_bytes]
+        if not chunk:
+            raise DecodeError("stream ends inside block prologue", block=i)
+        if chunk[0] & _ZERO_RECORD:
+            nb = NegaBlock((0,) * params.n, None)
+            offset += 1
+        else:
+            avail = 8 * len(chunk) - 1 - b_e
+            if avail < 0:
+                raise DecodeError("stream ends inside block prologue", block=i)
+            window = int.from_bytes(chunk, "big")
+            e_max = ((window >> avail) & ((1 << b_e) - 1)) - bias
+            if e_max > _MAX_BLOCK_EXPONENT:
+                raise DecodeError(
+                    f"block exponent {e_max} exceeds {_MAX_BLOCK_EXPONENT}, "
+                    "the largest exponent of a finite float64", block=i)
+            nb, left = _unpack_planes(window, avail, params, e_max, block_index=i)
+            offset += len(chunk) - left // 8
         _, values = decompress_block(nb, params)
         blocks.append(values)
+    if offset != len(data):
+        raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
     return unpartition(blocks, header.dims)

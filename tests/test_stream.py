@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfpkit.codec import (
     ArrayHeader,
-    BitReader,
-    BitWriter,
     CodecParams,
     ContainerError,
     DecodeError,
@@ -159,20 +159,45 @@ class TestContainer:
             read_header(bytes(data))
 
 
-class TestBitIO:
-    def test_writer_reader_round_trip(self):
-        w = BitWriter()
-        w.write_bits(0b1011, 4)
-        w.write_bit(1)
-        w.write_bits(0x1234, 16)
-        data = w.getvalue()
-        r = BitReader(data)
-        assert r.read_bits(4) == 0b1011
-        assert r.read_bit() == 1
-        assert r.read_bits(16) == 0x1234
+class TestDamagedContainer:
+    @pytest.mark.parametrize("b_e", [0, 1, 33, 255])
+    def test_exponent_field_width_out_of_range_refused(self, b_e):
+        data = bytearray(compress(np.ones(4), CodecParams(1, 53, 62, 32)))
+        data[12] = b_e
+        with pytest.raises(ContainerError, match="b_e"):
+            decompress(bytes(data))
 
-    def test_reader_eof(self):
-        r = BitReader(b"\xff")
-        r.read_bits(8)
-        with pytest.raises(EOFError):
-            r.read_bit()
+    @pytest.mark.parametrize("e_max", [1024, 2 ** 31])
+    def test_exponent_beyond_float64_refused(self, e_max):
+        # one block, b_e = 32: the record opens with the flag bit and 32
+        # exponent bits, i.e. the top 33 bits of the first five payload bytes
+        data = bytearray(compress(np.arange(1.0, 5.0), CodecParams(1, 53, 62, 32), b_e=32))
+        _, offset = read_header(bytes(data))
+        field = ((1 << 32) - 1) << 7
+        window = int.from_bytes(data[offset:offset + 5], "big") & ~field
+        window |= (e_max + (1 << 31) - 1) << 7
+        data[offset:offset + 5] = window.to_bytes(5, "big")
+        with pytest.raises(DecodeError, match="exponent"):
+            decompress(bytes(data))
+
+    def test_trailing_bytes_refused(self):
+        data = compress(np.arange(1.0, 17.0), CodecParams(1, 53, 62, 40))
+        with pytest.raises(ContainerError, match="trailing"):
+            decompress(data + b"\x00\x01")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.booleans(),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    def test_every_truncation_raises_container_error(self, d, f64, seed, data):
+        k, q = (53, 62) if f64 else (24, 30)
+        beta = data.draw(st.integers(min_value=0, max_value=q - 2 * d + 2))
+        # the first axis spans two blocks and the first of them is zeroed
+        shape = (data.draw(st.integers(min_value=5, max_value=8)),) + tuple(
+            data.draw(st.integers(min_value=1, max_value=4)) for _ in range(d - 1))
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal(shape) * np.exp2(rng.integers(-12, 13, size=shape))
+        grid[:4] = 0.0
+        blob = compress(grid, CodecParams(d, k, q, beta))
+        for cut in range(len(blob)):
+            with pytest.raises(ContainerError):
+                decompress(blob[:cut])
