@@ -50,8 +50,8 @@ class Dyadic:
             tz = (num & -num).bit_length() - 1
             num >>= tz
             exp += tz
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        _set_num(self, num)
+        _set_exp(self, exp)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -159,6 +159,12 @@ class Dyadic:
         return f"Dyadic({self.num}, 2**{self.exp})"
 
 
+# slot setters that bypass the immutability guards in constructors
+_new = object.__new__
+_set_num = Dyadic.__dict__["num"].__set__
+_set_exp = Dyadic.__dict__["exp"].__set__
+
+
 class BitString:
     """Finite set of integer positions carrying 1-digits.
 
@@ -177,32 +183,18 @@ class BitString:
             base = pos[0]
             for p in pos:
                 mask |= 1 << (p - base)
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "_base", base)
+        _set_mask(self, mask)
+        _set_base(self, base)
 
     def __setattr__(self, name, value):
         raise AttributeError("BitString is immutable")
-
-    @classmethod
-    def _raw(cls, mask: int, base: int) -> "BitString":
-        """Internal constructor from an anchored mask (mask >= 0)."""
-        self = object.__new__(cls)
-        if mask == 0:
-            base = 0
-        else:
-            tz = (mask & -mask).bit_length() - 1
-            mask >>= tz
-            base += tz
-        object.__setattr__(self, "_mask", mask)
-        object.__setattr__(self, "_base", base)
-        return self
 
     @classmethod
     def from_uint(cls, value: int) -> "BitString":
         """Bit string whose positions are the set bits of a nonnegative int."""
         if value < 0:
             raise ValueError("from_uint requires a nonnegative integer")
-        return cls._raw(value, 0)
+        return _bs_raw(value, 0)
 
     @property
     def is_empty(self) -> bool:
@@ -261,6 +253,24 @@ class BitString:
         return f"BitString({{{', '.join(map(str, self))}}})"
 
 
+_set_mask = BitString.__dict__["_mask"].__set__
+_set_base = BitString.__dict__["_base"].__set__
+
+
+def _bs_raw(mask: int, base: int) -> BitString:
+    """Internal constructor from an anchored mask (mask >= 0)."""
+    self = _new(BitString)
+    if mask == 0:
+        base = 0
+    else:
+        tz = (mask & -mask).bit_length() - 1
+        mask >>= tz
+        base += tz
+    _set_mask(self, mask)
+    _set_base(self, base)
+    return self
+
+
 BitString.EMPTY = BitString()
 
 
@@ -275,14 +285,17 @@ def truncate(v: BitString, cutoff: int) -> BitString:
     drop = cutoff + 1 - v._base
     if drop <= 0:
         return v
-    return BitString._raw((v._mask >> drop) << drop, v._base)
+    return _bs_raw((v._mask >> drop) << drop, v._base)
 
 
 def shift(v: BitString, l: int) -> BitString:
     """Move every position i to i - l; the represented value scales by 2**-l."""
     if v._mask == 0 or l == 0:
         return v
-    return BitString._raw(v._mask, v._base - l)
+    out = _new(BitString)
+    _set_mask(out, v._mask)  # already anchored at its lowest one
+    _set_base(out, v._base - l)
+    return out
 
 
 class SignedBinary:
@@ -296,23 +309,21 @@ class SignedBinary:
     def __init__(self, sign: int, magnitude: BitString):
         if sign not in (0, 1):
             raise ValueError("sign must be 0 or 1")
-        if sign == 1 and magnitude.is_empty:
+        if sign == 1 and magnitude._mask == 0:
             raise ValueError("negative zero is not representable")
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "magnitude", magnitude)
+        _set_sign(self, sign)
+        _set_magnitude(self, magnitude)
 
     def __setattr__(self, name, value):
         raise AttributeError("SignedBinary is immutable")
 
     @classmethod
     def from_int(cls, v: int) -> "SignedBinary":
-        if v < 0:
-            return _sb_raw(1, BitString._raw(-v, 0))
-        return _sb_raw(0, BitString._raw(v, 0))
+        return _sb_from_int(v)
 
     @property
     def is_zero(self) -> bool:
-        return self.magnitude.is_empty
+        return self.magnitude._mask == 0
 
     def __eq__(self, other):
         if not isinstance(other, SignedBinary):
@@ -337,16 +348,16 @@ class Negabinary:
     __slots__ = ("digits",)
 
     def __init__(self, digits: BitString):
-        if digits and digits.lowest() < 0:
+        if digits._mask and digits._base < 0:
             raise ValueError("negabinary digits must sit at nonnegative positions")
-        object.__setattr__(self, "digits", digits)
+        _set_digits(self, digits)
 
     def __setattr__(self, name, value):
         raise AttributeError("Negabinary is immutable")
 
     @property
     def is_zero(self) -> bool:
-        return self.digits.is_empty
+        return self.digits._mask == 0
 
     def __eq__(self, other):
         if not isinstance(other, Negabinary):
@@ -360,12 +371,34 @@ class Negabinary:
         return f"Negabinary({{{', '.join(map(str, self.digits))}}})"
 
 
+_set_sign = SignedBinary.__dict__["sign"].__set__
+_set_magnitude = SignedBinary.__dict__["magnitude"].__set__
+_set_digits = Negabinary.__dict__["digits"].__set__
+
+
 def _sb_raw(sign: int, magnitude: BitString) -> SignedBinary:
     """Unchecked constructor for internal callers that uphold the invariants."""
-    self = object.__new__(SignedBinary)
-    object.__setattr__(self, "sign", 0 if magnitude._mask == 0 else sign)
-    object.__setattr__(self, "magnitude", magnitude)
+    self = _new(SignedBinary)
+    _set_sign(self, 0 if magnitude._mask == 0 else sign)
+    _set_magnitude(self, magnitude)
     return self
+
+
+def _sb_from_int(v: int) -> SignedBinary:
+    """Signed binary digits of an integer (the body of ``SignedBinary.from_int``)."""
+    sign = 0
+    if v < 0:
+        sign = 1
+        v = -v
+    elif v == 0:
+        return _SB_ZERO
+    self = _new(SignedBinary)
+    _set_sign(self, sign)
+    _set_magnitude(self, _bs_raw(v, 0))
+    return self
+
+
+_SB_ZERO = _sb_raw(0, BitString.EMPTY)
 
 
 Element = Union[SignedBinary, Negabinary]
@@ -431,7 +464,7 @@ def fb_encode(x: Union[int, Dyadic, Fraction, float]) -> SignedBinary:
         raise TypeError(f"cannot encode {type(x).__name__}")
     if d.is_zero:
         return SignedBinary(0, BitString.EMPTY)
-    mag = BitString._raw(abs(d.num), d.exp)
+    mag = _bs_raw(abs(d.num), d.exp)
     return SignedBinary(1 if d.num < 0 else 0, mag)
 
 
@@ -458,7 +491,7 @@ def fn_encode(x: int) -> Negabinary:
             mask |= bit
         x = (r - x) >> 1
         bit <<= 1
-    return Negabinary(BitString._raw(mask, 0))
+    return Negabinary(_bs_raw(mask, 0))
 
 
 def _nega_mask_to_int(mask: int) -> int:
@@ -495,11 +528,11 @@ def sb_value(v: SignedBinary) -> int:
 
 def sb_add(a: SignedBinary, b: SignedBinary) -> SignedBinary:
     """Field addition restricted to integer-valued operands."""
-    return SignedBinary.from_int(sb_value(a) + sb_value(b))
+    return _sb_from_int(sb_value(a) + sb_value(b))
 
 
 def sb_sub(a: SignedBinary, b: SignedBinary) -> SignedBinary:
-    return SignedBinary.from_int(sb_value(a) - sb_value(b))
+    return _sb_from_int(sb_value(a) - sb_value(b))
 
 
 def round_half(v: SignedBinary) -> SignedBinary:
@@ -517,7 +550,7 @@ def round_half(v: SignedBinary) -> SignedBinary:
         half = truncate(shift(mag, 1), -1)
         return _sb_raw(0, half)
     # value < 0: magnitude of (value - 1) is |value| + 1
-    bumped = BitString._raw((mag._mask << mag._base) + 1, 0)
+    bumped = _bs_raw((mag._mask << mag._base) + 1, 0)
     half = truncate(shift(bumped, 1), -1)
     return _sb_raw(1, half)
 

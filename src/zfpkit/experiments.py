@@ -121,14 +121,14 @@ def gen_worst_case_block(d: int, e_min: int, e_max: int, rng: np.random.Generato
         raise ValueError("e_max must be >= e_min")
     n = 4 ** d
     delta = (e_max - e_min) / n
-    vals = [float(rng.uniform(2.0 ** (e_min + h * delta), 2.0 ** (e_min + (h + 1) * delta)))
-            for h in range(n)]
+    edges = [2.0 ** (e_min + h * delta) for h in range(n + 1)]
+    # array arguments draw element by element in order, exactly as n scalar calls would
+    vals = rng.uniform(edges[:-1], edges[1:])
     if float32:
-        vals = [float(np.float32(v)) for v in vals]
+        vals = vals.astype(np.float32)
     signs = rng.integers(0, 2, size=n)
-    out = [-v if s else v for v, s in zip(vals, signs)]
-    for i in range(n - 1, 0, -1):
-        j = int(rng.integers(0, i + 1))
+    out = [-v if s else v for v, s in zip(vals.tolist(), signs.tolist())]
+    for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         out[i], out[j] = out[j], out[i]
     return out
 
