@@ -88,7 +88,10 @@ class Dyadic:
         return self.num << self.exp if self.num else 0
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        # one correctly rounded conversion, as float(self.as_fraction()) does
+        if self.exp >= 0:
+            return float(self.num << self.exp)
+        return self.num / (1 << -self.exp)
 
     def scale2(self, l: int) -> "Dyadic":
         """Return self * 2**l (exact)."""
