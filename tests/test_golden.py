@@ -44,6 +44,14 @@ CASES = list(_matrix()) + [
     ("zero-blocks-d2-f64", (16, 8), dict(d=2, k=53, q=62, beta=30), 11),
     ("zero-blocks-d1-f32", (40,), dict(d=1, k=24, q=30, beta=28), 11),
     ("b_e13-d2-f64", (8, 8), dict(d=2, k=53, q=62, beta=48), 13),
+    # the toy pairing, a q > 62 pairing, and q = 62 grids at small beta whose
+    # inverse lifting leaves the int64 range
+    ("toy-d1", (32,), dict(d=1, k=13, q=9, beta=9), 11),
+    ("toy-d2", (10, 7), dict(d=2, k=13, q=9, beta=7), 11),
+    ("toy-d3", (4, 4, 8), dict(d=3, k=13, q=9, beta=11, allow_wide_beta=True), 11),
+    ("q80-d2", (8, 8), dict(d=2, k=53, q=80, beta=40), 11),
+    ("small-beta-d2-f64", (8, 8), dict(d=2, k=53, q=62, beta=4), 11),
+    ("small-beta-d3-f64", (4, 4, 8), dict(d=3, k=53, q=62, beta=6), 11),
 ]
 
 # name -> (sha256 of the container, sha256 of the decompressed float64 bytes)
@@ -123,6 +131,24 @@ GOLDEN = {
     "b_e13-d2-f64": (
         "b8ed3b833e5f9a4379fad9f7db53eebb8b868812eb3976f63579b99168e93bbe",
         "b9ce849fb7fb940ca7413dbb2b42d44730e23338a753b669ed3800ee14407ddf"),
+    "toy-d1": (
+        "79808b5f1a4b5ab31d30f1f792eccecc4c227a873004adae65f8c5c2ff43b168",
+        "f6f3d754986dac5ba60b95b1f8882752aec9035bad20383ec38aa14a9d80aba1"),
+    "toy-d2": (
+        "fb40c7b3c1cf82122ec171960da34eef7a0f811adaa3dda56b07d74ce7a695ae",
+        "145a0d857e796713b6b9798eb00343af5258be39e70c916f13c0f7ccd3c1e71e"),
+    "toy-d3": (
+        "9a7a74f4fa0eefef6a34dcce92efbc367fbf1a033691dc284b70bb1139f0597d",
+        "0eeb7bc646b36601df50da4afbcfcb2d29142a2e7adb43c79834c9cff1a7d0c5"),
+    "q80-d2": (
+        "4297ff615ee34d95120a434fc86451f266d3d21f1e3c6a18d1cb0d23be40fd37",
+        "6811d5d846d0975e0d82b5e7b61aeb1040fc8b9a11c71800a25ea02e74f4187e"),
+    "small-beta-d2-f64": (
+        "1366107f0aef72188553df42d855c318ce74a2dbfdb480814ee4f81dee577b79",
+        "791f12fb0deb5d525ef3e647512cc591489c901092de8440c3ec4abd76d859b9"),
+    "small-beta-d3-f64": (
+        "642133c709bf0c45fdfc97dd4e6c5991f9f4928d8bf435b1fb3650f56be0f594",
+        "5b04aa081878caf4156cd9fa4396e1817938b63d8abb1c752337d6fbd0c8d04e"),
 }
 
 
