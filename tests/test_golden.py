@@ -52,6 +52,10 @@ CASES = list(_matrix()) + [
     ("q80-d2", (8, 8), dict(d=2, k=53, q=80, beta=40), 11),
     ("small-beta-d2-f64", (8, 8), dict(d=2, k=53, q=62, beta=4), 11),
     ("small-beta-d3-f64", (4, 4, 8), dict(d=3, k=53, q=62, beta=6), 11),
+    # uniform(-1, 1) values at q = 62: some blocks' inverse lifting wraps int64
+    ("uniform-d1-f64", (32,), dict(d=1, k=53, q=62, beta=2), 11),
+    ("uniform-d2-f64", (8, 8), dict(d=2, k=53, q=62, beta=4), 11),
+    ("uniform-d3-f64", (4, 4, 8), dict(d=3, k=53, q=62, beta=5), 11),
 ]
 
 # name -> (sha256 of the container, sha256 of the decompressed float64 bytes)
@@ -149,6 +153,15 @@ GOLDEN = {
     "small-beta-d3-f64": (
         "642133c709bf0c45fdfc97dd4e6c5991f9f4928d8bf435b1fb3650f56be0f594",
         "5b04aa081878caf4156cd9fa4396e1817938b63d8abb1c752337d6fbd0c8d04e"),
+    "uniform-d1-f64": (
+        "4efb4b6c851c6cec60cf82f14365c791d4be605aa26f451bdf937c3fc7749c29",
+        "6abd50b3268a77d0bfe06eb6883de8676ed800ccf0fb1d12a0a5b438ef49c606"),
+    "uniform-d2-f64": (
+        "d15e80cb7b1cbc6407ef89af3da424c9977ea447d9401956dd6d3b087d7e7879",
+        "6d308c2cb3456940630a2d3f95229fd4e7525ffa208e02ab525ca23c87ade0fa"),
+    "uniform-d3-f64": (
+        "5ddbf06209207764173a3527992a4059561cfb270add9596a30a2071678bffe3",
+        "ddcba026abab98aa5aa435e381eaf09337d87a6589246e2f9894b38bafdd09c0"),
 }
 
 
@@ -159,7 +172,10 @@ def _sha(data: bytes) -> str:
 @pytest.mark.parametrize("name, shape, params, b_e", CASES, ids=[c[0] for c in CASES])
 def test_golden_container(name, shape, params, b_e):
     seed = sum(name.encode())
-    grid = seeded_grid(shape, seed, zero_blocks=name.startswith("zero-blocks"))
+    if name.startswith("uniform"):
+        grid = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    else:
+        grid = seeded_grid(shape, seed, zero_blocks=name.startswith("zero-blocks"))
     data = compress(grid, CodecParams(**params), b_e=b_e)
     out = decompress(data)
     assert out.shape == grid.shape and out.dtype == np.float64
