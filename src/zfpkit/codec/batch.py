@@ -1,0 +1,295 @@
+"""Batched block pipeline: every block of a grid at once, on int64/uint64 arrays.
+
+The scalar stage functions in :mod:`.pipeline` remain the specification.
+This module computes the same container bytes and the same decoded values
+for grids with q <= MAX_Q, with each stage run as array operations over an
+``(nblocks, 4**d)`` array.  Blocks go through in runs of :func:`chunk_rows`
+blocks, so memory stays bounded whatever the grid size.
+
+* Forward: with |ints| < 2**q, every lifting intermediate stays within
+  2**(q+1) - 2 and every line output within 2**q - 1 (checked exhaustively
+  at q = 4), so int64 never wraps for q <= 62.  Negabinary digits and plane
+  extraction run on uint64.
+* Inverse: intermediates can reach about 4 * 2**q, which wraps int64 at
+  q >= 61.  Every add, subtract and doubling step records whether it
+  wrapped; each block that wrapped anywhere (negabinary decoding included)
+  is decoded again by the scalar :func:`.pipeline.decompress_block`, so
+  wrapped results are never used.
+
+:func:`encode_blocks` returns None when some block needs the scalar path
+to raise its exact error (exponent field overflow, guard envelope,
+negabinary range); the caller then runs the scalar loop.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from .blocks import _block_array
+from .params import CodecParams
+from .pipeline import SEQUENCY_TABLES, NegaBlock, _inverse_table, decompress_block
+
+MAX_Q = 62  # forward lifting intermediates stay below 2**(q+1) - 1 <= 2**63 - 1
+
+_CHUNK_VALUES = 1 << 12  # values per run of blocks
+_EVEN = 0x5555555555555555  # digit positions of weight +2**i
+_ODD = 0xAAAAAAAAAAAAAAAA  # digit positions of weight -2**i
+
+
+@lru_cache(maxsize=None)
+def _perm(d: int, inverse: bool) -> np.ndarray:
+    table = np.array(_inverse_table(d) if inverse else SEQUENCY_TABLES[d], dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+def chunk_rows(p: CodecParams) -> int:
+    """Blocks coded or decoded together; this bounds each run's temporaries
+    (at most a few hundred kB: the stream bits of a run, one byte per bit)."""
+    return _CHUNK_VALUES // p.n
+
+
+def _lines(blk: np.ndarray, axis: int) -> list[np.ndarray]:
+    """Views of coordinates 0..3 along one block axis of an (m, 4, ..., 4) array."""
+    head = (slice(None),) * (axis + 1)
+    return [blk[head + (i,)] for i in range(4)]
+
+
+def _escapes(x: np.ndarray, lim: int) -> bool:
+    return bool(x.max() > lim or x.min() < -lim)
+
+
+def _lift_forward(ints: np.ndarray, p: CodecParams) -> bool:
+    """Forward lifting in place; False if a line sum leaves the guard envelope."""
+    if not ints.size:
+        return True
+    lim = 1 << (p.q + 1)
+    # at q = 62 the envelope is not an int64; the input bound covers it
+    if _escapes(ints, (1 << p.q) - 1):
+        return False
+    check = lim <= np.iinfo(np.int64).max
+    blk = ints.reshape((-1,) + (4,) * p.d)
+    for axis in reversed(range(p.d)):
+        x0, x1, x2, x3 = _lines(blk, axis)
+        x0 += x3
+        if check and _escapes(x0, lim):
+            return False
+        x0 >>= 1
+        x3 -= x0
+        x2 += x1
+        if check and _escapes(x2, lim):
+            return False
+        x2 >>= 1
+        x1 -= x2
+        x0 += x2
+        if check and _escapes(x0, lim):
+            return False
+        x0 >>= 1
+        x2 -= x0
+        x3 += x1
+        if check and _escapes(x3, lim):
+            return False
+        x3 >>= 1
+        x1 -= x3
+        x3 += x1 >> 1
+        x1 -= x3 >> 1
+        if check and (_escapes(x1, lim) or _escapes(x3, lim)):
+            return False
+    return True
+
+
+def _add(x: np.ndarray, y: np.ndarray, wrap: np.ndarray) -> None:
+    r = x + y
+    wrap |= (x ^ r) & (y ^ r)  # sign bit set where the sum wrapped
+    x[...] = r
+
+
+def _sub(x: np.ndarray, y: np.ndarray, wrap: np.ndarray) -> None:
+    r = x - y
+    wrap |= (x ^ y) & (x ^ r)
+    x[...] = r
+
+
+def _dbl(x: np.ndarray, wrap: np.ndarray) -> None:
+    r = x << 1
+    wrap |= x ^ r
+    x[...] = r
+
+
+def _lift_inverse(v: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Inverse lifting in place; returns per block whether any step wrapped int64.
+
+    A wrapped block holds garbage from that step on; the flag is exact, so
+    only blocks whose Python-int intermediates leave int64 are flagged.
+    """
+    blk = v.reshape((-1,) + (4,) * p.d)
+    wrapped = np.zeros(len(v), dtype=bool)
+    for axis in range(p.d):
+        x0, x1, x2, x3 = _lines(blk, axis)
+        wrap = np.zeros_like(x0)
+        _add(x1, x3 >> 1, wrap)
+        _sub(x3, x1 >> 1, wrap)
+        _add(x1, x3, wrap)
+        _dbl(x3, wrap)
+        _sub(x3, x1, wrap)
+        _add(x2, x0, wrap)
+        _dbl(x0, wrap)
+        _sub(x0, x2, wrap)
+        _add(x1, x2, wrap)
+        _dbl(x2, wrap)
+        _sub(x2, x1, wrap)
+        _add(x3, x0, wrap)
+        _dbl(x0, wrap)
+        _sub(x0, x3, wrap)
+        wrapped |= wrap.reshape(len(v), -1).min(axis=1) < 0
+    return wrapped
+
+
+def _nega_range(q: int) -> tuple[int, int]:
+    """Smallest and largest integer with q+2 negabinary digits, clipped to int64."""
+    digits = (1 << (q + 2)) - 1
+    return max(-(digits & _ODD), -(1 << 63)), digits & _EVEN
+
+
+def encode_blocks(grid: np.ndarray, p: CodecParams, b_e: int) -> bytes | None:
+    """Container payload of every block of ``grid`` (q <= MAX_Q), or None.
+
+    None means some block cannot be coded exactly here: its exponent does not
+    fit the b_e-bit field, or a transform or negabinary range check fails.
+    """
+    blocks = _block_array(grid)
+    rows = chunk_rows(p)
+    pieces = []
+    for first in range(0, len(blocks), rows):
+        piece = _encode_chunk(blocks[first:first + rows], p, b_e)
+        if piece is None:
+            return None
+        pieces.append(piece)
+    return b"".join(pieces)
+
+
+def _encode_chunk(blocks: np.ndarray, p: CodecParams, b_e: int) -> bytes | None:
+    """The records of consecutive blocks, one per row of ``blocks``."""
+    nonzero = blocks != 0.0
+    live = nonzero.any(axis=1)
+    exps = np.frexp(blocks)[1]
+    e_max = np.where(nonzero, exps, np.iinfo(exps.dtype).min)[live].max(axis=1) - 1
+    stored = e_max.astype(np.int64) + ((1 << (b_e - 1)) - 1)
+    if stored.size and (stored.min() < 0 or stored.max() >= 1 << b_e):
+        return None
+    # |value| * 2**-ell < 2**q; the int64 cast truncates toward zero like int()
+    ints = np.ldexp(blocks[live], (p.q - 1 - e_max)[:, None]).astype(np.int64)
+    if not _lift_forward(ints, p):
+        return None
+    coeffs = ints[:, _perm(p.d, False)]
+    lo, hi = _nega_range(p.q)
+    if coeffs.size and (coeffs.max() > hi or coeffs.min() < lo):
+        return None
+    digits = coeffs.view(np.uint64)
+    alt = np.uint64(_ODD)
+    digits += alt
+    digits ^= alt
+    cut = p.q + 2 - p.beta
+    if cut > 0:
+        digits &= np.uint64(((1 << 64) - 1) ^ ((1 << min(cut, 64)) - 1))
+    return _write_records(digits, live, stored, p, b_e)
+
+
+def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
+                   p: CodecParams, b_e: int) -> bytes:
+    """Byte-aligned records (see :mod:`.stream`) of all blocks, from their digit masks."""
+    n, beta = p.n, p.beta
+    one = np.uint64(1)
+    pos = [np.uint64(p.q + 1 - j) for j in range(beta)]
+    # plane j is coded when any coefficient has a digit at pos[j]
+    seen = np.bitwise_or.reduce(digits, axis=1)
+    ncoded = np.zeros(len(digits), dtype=np.uint64)
+    for at in pos:
+        ncoded += (seen >> at) & one
+    size = np.ones(live.size, dtype=np.int64)
+    size[live] = (1 + b_e + beta + n * ncoded.astype(np.int64) + 7) // 8
+    start = 8 * (np.cumsum(size) - size)
+    bits = np.zeros(8 * int(size.sum()), dtype=np.uint8)
+    bits[start[~live]] = 1  # an all-zero block is its flag bit alone
+    at = start[live]
+    for shift in range(b_e - 1, -1, -1):  # the exponent field follows the zero flag
+        at += 1
+        bits[at] = (stored >> shift) & 1
+    at += 1
+    cols = np.arange(1, n + 1)
+    for j in range(beta):
+        coded = ((seen >> pos[j]) & one).astype(bool)
+        bits[at] = coded  # the plane's test bit, then its n bits if coded
+        hit = np.flatnonzero(coded)
+        if hit.size:
+            bits[at[hit, None] + cols] = (digits[hit] >> pos[j]) & one
+        at += 1 + n * coded
+    return np.packbits(bits).tobytes()
+
+
+def _bit_length(m: np.ndarray) -> np.ndarray:
+    """Bit length of each entry of a uint64 array, by integer shifts."""
+    length = np.zeros(m.shape, dtype=np.int64)
+    for s in (32, 16, 8, 4, 2, 1):
+        high = m >> np.uint64(s)
+        has = high > 0
+        length += s * has
+        m = np.where(has, high, m)
+    return length + (m > 0)
+
+
+def scalar_values(digits, e_max: int, p: CodecParams) -> tuple[float, ...]:
+    """One block through :func:`.pipeline.decompress_block`; inf where it overflows."""
+    try:
+        return decompress_block(NegaBlock(tuple(digits), e_max), p)[1]
+    except OverflowError:
+        return (math.inf,) * p.n
+
+
+def _digits(words: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Digit masks (m, n) uint64 from plane words (m, beta); plane j is digit q + 1 - j."""
+    m, beta = words.shape
+    top = words << (8 * words.itemsize - p.n)  # word bits at the top, for count=n below
+    big_endian = top.astype(top.dtype.newbyteorder(">")).view(np.uint8)
+    planes = np.unpackbits(big_endian.reshape(m, beta, -1), axis=2, count=p.n)
+    # one byte per digit, most significant first: digit i sits in column 63 - i
+    cube = np.zeros((m, p.n, 64), dtype=np.uint8)
+    cube[:, :, 62 - p.q:62 - p.q + beta] = planes.transpose(0, 2, 1)
+    return np.packbits(cube, axis=2).view(">u8")[:, :, 0].astype(np.uint64)
+
+
+def decode_blocks(e_max: np.ndarray, words: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Decoded values of every block (q <= MAX_Q) as an (nblocks, 4**d) array.
+
+    ``words`` holds each block's kept planes, one n-bit word per plane with
+    coefficient 0 in the top bit (0 for an empty plane).  A block without a
+    coded plane decodes to zeros.  Values beyond the float64 range come back
+    as inf.
+    """
+    n, q = p.n, p.q
+    values = np.zeros((len(words), n))
+    live = np.flatnonzero(words.any(axis=1))
+    if not live.size:
+        return values
+    digits = _digits(words[live], p)
+    even = digits & np.uint64(_EVEN)
+    odd = digits & np.uint64(_ODD)
+    v = (even - odd).view(np.int64)
+    # the value even - odd is below -2**63 exactly when the int64 result is not negative
+    wrapped = ((odd > even) & (v >= 0)).any(axis=1)
+    v = v[:, _perm(p.d, True)]
+    wrapped |= _lift_inverse(v, p)
+    # |v| as uint64 is exact even for -2**63
+    mag = np.abs(v).view(np.uint64)
+    drop = np.maximum(_bit_length(mag) - p.k, 0).astype(np.uint64)
+    mag = ((mag >> drop) << drop).astype(np.float64)
+    ell = np.clip(e_max[live] - q + 1, -4096, 4096)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.where(v < 0, -mag, mag), ell[:, None])
+    for r in np.flatnonzero(wrapped):
+        out[r] = scalar_values(digits[r].tolist(), int(e_max[live[r]]), p)
+    values[live] = out
+    return values

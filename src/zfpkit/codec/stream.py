@@ -22,10 +22,16 @@ byte-aligned per block:
     by the raw plane bits in coefficient order.
 
 A record therefore spans at most ceil((1 + b_e + beta*(1 + 4**d)) / 8)
-bytes.  Each record is built as one Python int and written with a single
-``int.to_bytes``; the reader parses it from one ``int.from_bytes`` window of
-that many bytes.  The payload ends with the last record: trailing bytes
-make the container invalid.
+bytes.  The payload ends with the last record: trailing bytes make the
+container invalid.
+
+For q <= 62, :mod:`.batch` codes every block at once and writes all records
+with one ``np.packbits``; for larger q, or when a block must raise an
+error, each record is built as one Python int by :func:`_pack_planes`.  The
+reader walks the test bits of each record in one pass, then gathers the
+coded planes of all blocks as n-bit words with array operations.  A block
+whose reconstruction is not a finite float64 makes ``decompress`` raise
+:class:`DecodeError` naming the first such block.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import numpy as np
 
 from .blocks import GridShapeError, block_count, partition, unpartition
 from .params import CodecParams, ParamError
-from .pipeline import NegaBlock, compress_block, decompress_block
+from .pipeline import NegaBlock, compress_block
 
 MAGIC = b"ZFPK"
 VERSION = 1
@@ -48,6 +54,7 @@ _MAX_BLOCK_EXPONENT = 1023  # largest exponent of a finite float64
 
 _FLAG_WIDE_BETA = 0x01
 _ZERO_RECORD = 0x80  # the whole record of an all-zero block: flag bit, padding
+_WORD_TYPES = {4: np.uint8, 16: np.uint16, 64: np.uint64}  # one plane of 4**d bits
 
 
 class ContainerError(ValueError):
@@ -169,28 +176,47 @@ def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
     return value, nbits
 
 
-def _unpack_planes(window: int, avail: int, p: CodecParams, e_max: int,
-                   block_index: int | None = None) -> tuple[NegaBlock, int]:
-    """Parse the coded planes from the top of the ``avail``-bit int ``window``.
+def _stream_bits(payload: bytes, p: CodecParams) -> memoryview:
+    """One byte per bit of ``payload``, MSB first, then zeros for :func:`_walk_planes`."""
+    pad = bytes((p.n + 1 + p.beta) // 8 + 1)
+    return memoryview(np.unpackbits(np.frombuffer(payload + pad, dtype=np.uint8)))
 
-    Returns the block and the number of low bits of ``window`` left unread.
+
+def _walk_planes(bits, at: int, limit: int, p: CodecParams,
+                 block_index: int | None = None) -> int:
+    """Position after the last plane of a record whose first test bit is at ``at``.
+
+    ``bits`` is from :func:`_stream_bits` and holds ``limit`` stream bits;
+    a plane is one test bit, followed by n bits when the test bit is 1.
     """
+    step = p.n + 1
+    start = at
+    for _ in range(p.beta):
+        if bits[at]:
+            at += step
+        else:
+            at += 1
+    if at > limit:  # the walk ran into the zero padding: name the first plane cut off
+        at = start
+        for plane_idx in range(p.beta):
+            at += step if bits[at] else 1
+            if at > limit:
+                raise DecodeError("stream ends inside plane payload",
+                                  block=block_index, plane=plane_idx)
+    return at
+
+
+def _digits_from_words(words, p: CodecParams) -> tuple[int, ...]:
+    """Digit masks of one block from its plane words (plane 0 is position q+1)."""
     n = p.n
-    mask = (1 << n) - 1
     digits = [0] * n
-    for plane_idx, pos in enumerate(range(p.q + 1, p.q + 1 - p.beta, -1)):
-        coded = avail > 0 and (window >> (avail - 1)) & 1
-        width = 1 + n if coded else 1
-        if avail < width:
-            raise DecodeError("stream ends inside plane payload",
-                              block=block_index, plane=plane_idx)
-        avail -= width
-        if coded:
-            plane = (window >> avail) & mask
+    for plane_idx, plane in enumerate(words):
+        if plane:
+            bit = 1 << (p.q + 1 - plane_idx)
             for c in range(n):
                 if (plane >> (n - 1 - c)) & 1:
-                    digits[c] |= 1 << pos
-    return NegaBlock(tuple(digits), e_max), avail
+                    digits[c] |= bit
+    return tuple(digits)
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
@@ -209,9 +235,17 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
         raise DecodeError(f"record carries beta={cb.beta}, params say {p.beta}")
     if cb.zero_flag:
         return NegaBlock((0,) * p.n, None)
-    nb, _ = _unpack_planes(int.from_bytes(cb.payload, "big"), 8 * len(cb.payload),
-                           p, cb.e_max)
-    return nb
+    bits = _stream_bits(cb.payload, p)
+    _walk_planes(bits, 0, 8 * len(cb.payload), p)
+    window = int.from_bytes(cb.payload, "big")
+    words = [0] * p.beta
+    at = 0
+    for plane_idx in range(p.beta):
+        at += 1
+        if bits[at - 1]:
+            at += p.n
+            words[plane_idx] = (window >> (8 * len(cb.payload) - at)) & ((1 << p.n) - 1)
+    return NegaBlock(_digits_from_words(words, p), cb.e_max)
 
 
 def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> bytes:
@@ -227,8 +261,14 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
         raise ParamError(f"b_e must be in [2, 32], got {b_e}")
     header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
                          beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
-    bias = (1 << (b_e - 1)) - 1
     out = bytearray(_pack_header(header))
+    from . import batch  # imported on first use: sweeps and the oracle never need it
+
+    payload = batch.encode_blocks(grid, params, b_e) if params.q <= batch.MAX_Q else None
+    if payload is not None:
+        return bytes(out + payload)
+    # the scalar loop: q > MAX_Q, or a block that raises one of its errors
+    bias = (1 << (b_e - 1)) - 1
     for values in partition(grid):
         nb = compress_block(values, params)
         if nb.is_zero:
@@ -245,35 +285,102 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
     return bytes(out)
 
 
-def decompress(data: bytes) -> np.ndarray:
-    """Decompress a container back to a float64 array of the stored dims."""
-    header, offset = read_header(data)
-    params = header.params()
+def _pack_words(bits: np.ndarray, n: int) -> np.ndarray:
+    """Rows of n bits (one byte each, first bit most significant) as n-bit words."""
+    packed = np.packbits(bits, axis=1)
+    if n == 4:
+        return packed[:, 0] >> 4
+    return packed.view(f">u{n // 8}")[:, 0]
+
+
+def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
+              params: CodecParams):
+    """Parse ``count`` records from the start of ``window``, the first being block ``first``.
+
+    Returns (e_max, words, bytes read): e_max per block and a (count, beta)
+    array with one n-bit word per kept plane, coefficient 0 in the top bit
+    (0 for an empty plane).  A zero block reads as e_max 0 with no coded
+    plane, which decodes to zeros like any block without one.
+    """
     b_e = header.b_e
     bias = (1 << (b_e - 1)) - 1
-    window_bytes = (1 + b_e + params.beta * (1 + params.n) + 7) // 8
-    blocks = []
-    for i in range(header.block_count):
-        chunk = data[offset:offset + window_bytes]
-        if not chunk:
-            raise DecodeError("stream ends inside block prologue", block=i)
-        if chunk[0] & _ZERO_RECORD:
-            nb = NegaBlock((0,) * params.n, None)
-            offset += 1
-        else:
-            avail = 8 * len(chunk) - 1 - b_e
-            if avail < 0:
-                raise DecodeError("stream ends inside block prologue", block=i)
-            window = int.from_bytes(chunk, "big")
-            e_max = ((window >> avail) & ((1 << b_e) - 1)) - bias
-            if e_max > _MAX_BLOCK_EXPONENT:
-                raise DecodeError(
-                    f"block exponent {e_max} exceeds {_MAX_BLOCK_EXPONENT}, "
-                    "the largest exponent of a finite float64", block=i)
-            nb, left = _unpack_planes(window, avail, params, e_max, block_index=i)
-            offset += len(chunk) - left // 8
-        _, values = decompress_block(nb, params)
-        blocks.append(values)
+    n, beta = params.n, params.beta
+    prologue = 1 + b_e
+    prologue_bytes = (prologue + 7) // 8
+    bits = _stream_bits(window, params)
+    limit = 8 * len(window)
+    e_max = np.zeros(count, dtype=np.int64)
+    planes_at = np.zeros(count, dtype=np.int64)  # 0 for a zero block
+    at = 0
+    for r in range(count):
+        if at >= limit or (not bits[at] and at + prologue > limit):
+            raise DecodeError("stream ends inside block prologue", block=first + r)
+        if bits[at]:
+            at += 8
+            continue
+        start = at // 8
+        e = ((int.from_bytes(window[start:start + prologue_bytes], "big")
+              >> (8 * prologue_bytes - prologue)) & ((1 << b_e) - 1)) - bias
+        if e > _MAX_BLOCK_EXPONENT:
+            raise DecodeError(
+                f"block exponent {e} exceeds {_MAX_BLOCK_EXPONENT}, "
+                "the largest exponent of a finite float64", block=first + r)
+        e_max[r] = e
+        planes_at[r] = at + prologue
+        end = _walk_planes(bits, at + prologue, limit, params, first + r)
+        at += (end - at + 7) & -8
+    # the same walk over all records of the run at once, now that their starts are known
+    stream = np.asarray(bits)
+    words = np.zeros((count, beta), dtype=_WORD_TYPES[n])
+    live = np.flatnonzero(planes_at)
+    pos = planes_at[live]
+    cols = np.arange(1, n + 1)
+    for j in range(beta):
+        coded = stream[pos]
+        hit = np.flatnonzero(coded)
+        if hit.size:
+            words[live[hit], j] = _pack_words(stream[pos[hit, None] + cols], n)
+        pos += 1 + n * coded
+    return e_max, words, at // 8
+
+
+def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecParams,
+                  rows: int):
+    """Yield (e_max, words) of :func:`_read_run` for runs of ``rows`` blocks."""
+    record_bytes = (1 + header.b_e + params.beta * (1 + params.n) + 7) // 8
+    nblocks = header.block_count
+    for first in range(0, nblocks, rows):
+        count = min(rows, nblocks - first)
+        # no record is longer than record_bytes, so the run lies inside this window
+        window = data[offset:offset + count * record_bytes]
+        e_max, words, used = _read_run(window, first, count, header, params)
+        offset += used
+        yield e_max, words
     if offset != len(data):
         raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
-    return unpartition(blocks, header.dims)
+
+
+def decompress(data: bytes) -> np.ndarray:
+    """Decompress a container back to a float64 array of the stored dims.
+
+    Raises DecodeError naming the first block whose reconstruction is not a
+    finite float64 (possible for blocks near the float64 maximum at small beta).
+    """
+    header, offset = read_header(data)
+    params = header.params()
+    from . import batch
+
+    runs = []
+    for e_max, words in _read_records(data, offset, header, params, batch.chunk_rows(params)):
+        if params.q <= batch.MAX_Q:
+            values = batch.decode_blocks(e_max, words, params)
+        else:
+            values = np.array([
+                batch.scalar_values(_digits_from_words(w.tolist(), params), int(e), params)
+                for e, w in zip(e_max, words)])
+        finite = np.isfinite(values).all(axis=1)
+        if not finite.all():
+            raise DecodeError("reconstructed value exceeds the float64 range",
+                              block=len(runs) * batch.chunk_rows(params) + int(np.argmin(finite)))
+        runs.append(values)
+    return unpartition(np.concatenate(runs), header.dims)

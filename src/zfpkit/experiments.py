@@ -11,7 +11,6 @@ and parallel runs emit byte-identical tables.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -318,6 +317,9 @@ def sweep(spec: WorstCaseSpec, threads: int | None = None):
     jobs = [(spec, idx, rho, beta) for idx, rho, beta in spec.cells()]
     n_workers = thread_budget(threads)
     if n_workers > 1 and len(jobs) > 1:
+        # imported here: the pool machinery costs every `import zfpkit` ~17 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
             results = list(pool.map(_run_cell_packed, jobs))
     else:

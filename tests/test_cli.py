@@ -88,6 +88,19 @@ class TestCompressDecompress:
                               "--out", str(tmp_path / "v.out"))
         assert code == 2 and "block" in stderr
 
+    def test_reconstruction_beyond_float64_is_one_line_error(self, tmp_path, capsys):
+        src = tmp_path / "v.raw"
+        (np.random.default_rng(0).uniform(-1.0, 1.0, (4, 4)) * 1.7e308).tofile(src)
+        out = tmp_path / "v.zfpk"
+        code, _, _ = run(capsys, "compress", str(src), "--dims", "4,4", "--beta", "4",
+                         "--out", str(out))
+        assert code == 0
+        code, _, stderr = run(capsys, "decompress", str(out),
+                              "--out", str(tmp_path / "v.out"))
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert "float64 range" in stderr and "block 0" in stderr
+
     def test_no_partial_output_on_error(self, tmp_path, capsys):
         target = tmp_path / "keep.raw"
         target.write_bytes(b"sentinel")

@@ -2,6 +2,10 @@
 sweep determinism, grid analysis."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,18 @@ class TestSweep:
         serial, _ = sweep(spec, threads=1)
         parallel, _ = sweep(spec, threads=2)
         assert serial == parallel
+
+    def test_import_loads_no_process_pool(self):
+        # the pool modules load only when a sweep runs on several workers
+        import zfpkit
+        src = str(Path(zfpkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = ("import sys, zfpkit; "
+                 "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+                 "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_byte_identical_reruns(self):
         spec = WorstCaseSpec(d=2, k=24, q=30, betas=(12,), rhos=(7,),

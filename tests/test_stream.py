@@ -159,6 +159,43 @@ class TestContainer:
             read_header(bytes(data))
 
 
+class TestReconstructionRange:
+    """Blocks near the float64 maximum can reconstruct beyond it at small beta."""
+
+    def test_single_block_grids(self):
+        rng = np.random.default_rng(0)
+        p = CodecParams(2, 53, 62, 4)
+        failed = 0
+        for _ in range(100):
+            data = compress(rng.uniform(-1.0, 1.0, (4, 4)) * 1.7e308, p)
+            try:
+                decompress(data)
+            except DecodeError as e:
+                assert e.block == 0
+                failed += 1
+        assert failed == 86
+
+    @pytest.mark.parametrize("q", [62, 80])
+    def test_names_first_block_beyond_float64(self, q):
+        from zfpkit.codec import compress_block, decompress_block, partition
+
+        def overflows(values, p):
+            try:
+                decompress_block(compress_block(values, p), p)
+            except OverflowError:
+                return True
+            return False
+
+        grid = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 400)) * 1.7e308
+        grid[:, :8] *= 1e-3  # the first two blocks stay in range
+        p = CodecParams(2, 53, q, 4)
+        first = next(i for i, blk in enumerate(partition(grid)) if overflows(blk, p))
+        assert first == 2
+        with pytest.raises(DecodeError, match="float64 range") as info:
+            decompress(compress(grid, p))
+        assert info.value.block == first
+
+
 class TestDamagedContainer:
     @pytest.mark.parametrize("b_e", [0, 1, 33, 255])
     def test_exponent_field_width_out_of_range_refused(self, b_e):
