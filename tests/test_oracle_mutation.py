@@ -1,0 +1,135 @@
+"""The bit-vector oracle must reject deliberately wrong fast paths.
+
+Each test monkeypatches one stage of :mod:`zfpkit.codec.pipeline` with a
+plausible bug and runs the stage-by-stage comparison of the acceptance
+check (``pipeline_trace`` against ``roundtrip_ref``) over blocks drawn the
+way that check draws them.  The oracle must disagree within a few hundred
+blocks, first at the stage the bug lives in.  The mutants patch the fast
+path only; in particular the sequency mutant replaces the permutation
+function, not ``SEQUENCY_TABLES``, which the oracle shares.
+"""
+
+import pytest
+
+from zfpkit.bitvec import sb_value
+from zfpkit.codec import CodecParams, pipeline, pipeline_trace, roundtrip_ref
+from zfpkit.codec.pipeline import BlockFP, NegaBlock
+from zfpkit.experiments import gen_worst_case_block, trial_rng
+
+BLOCKS = 300
+
+
+def a06_blocks(count):
+    """Blocks and parameters drawn as the acceptance check draws them, d = 1, 2, 3 in turn."""
+    rhos = (0, 7, 14)
+    for i in range(count):
+        d = 1 + i % 3
+        t = i // 3
+        pairings = [(13, 9), (24, 30), (53, 62)] if d == 1 else [(24, 30), (53, 62)]
+        k, q = pairings[t % len(pairings)]
+        rng = trial_rng(606, d, t)
+        beta = int(rng.integers(0, q + 3))
+        p = CodecParams(d, k, q, beta, allow_wide_beta=True)
+        if t % 17 == 0:
+            blk = [float(v) for v in rng.uniform(-100.0, 100.0, size=4 ** d)]
+            blk[0] = 0.0
+        else:
+            blk = gen_worst_case_block(d, 0, rhos[t % 3], rng, float32=(k == 24))
+        yield blk, p
+
+
+def first_mismatch(values, p):
+    """Name of the first stage where the fast trace and the oracle differ, or None."""
+    fast = pipeline_trace(values, p)
+    ref = roundtrip_ref(values, p)
+    if fast.fp.is_zero or ref.is_zero:
+        return None if fast.fp.is_zero and ref.is_zero else "zero"
+    if (ref.e_max, ref.ell) != (fast.fp.e_max, fast.fp.ell):
+        return "exponent"
+    for name, got, want in (
+        ("fp", tuple(sb_value(e) for e in ref.fp), fast.fp.ints),
+        ("transformed", tuple(sb_value(e) for e in ref.transformed), fast.transformed.ints),
+        ("permuted", tuple(sb_value(e) for e in ref.permuted), fast.permuted.ints),
+        ("nega", tuple(e.digits.uint_at(0) for e in ref.nega), fast.nega.digits),
+        ("truncated", tuple(e.digits.uint_at(0) for e in ref.truncated), fast.truncated.digits),
+        ("unpermuted", tuple(sb_value(e) for e in ref.unpermuted), fast.unpermuted.ints),
+        ("recovered", tuple(sb_value(e) for e in ref.recovered), fast.recovered.ints),
+        ("out_values", tuple(float(v) for v in ref.out_values), fast.out_values),
+    ):
+        if got != want:
+            return name
+    return None
+
+
+def blocks_until_caught(count=BLOCKS):
+    """(blocks run, first mismatching stage) for the first disagreeing block."""
+    for i, (blk, p) in enumerate(a06_blocks(count)):
+        stage = first_mismatch(blk, p)
+        if stage is not None:
+            return i + 1, stage
+    return None
+
+
+# ---------------------------------------------------------------------------
+# mutants
+
+
+def _half_toward_zero(x):
+    return -((-x) >> 1) if x < 0 else x >> 1
+
+
+def lift_forward_halving_toward_zero(a, i0, i1, i2, i3, lim):
+    x0, x1, x2, x3 = a[i0], a[i1], a[i2], a[i3]
+    x0 = _half_toward_zero(x0 + x3)
+    x3 -= x0
+    x2 = _half_toward_zero(x2 + x1)
+    x1 -= x2
+    x0 = _half_toward_zero(x0 + x2)
+    x2 -= x0
+    x3 = _half_toward_zero(x3 + x1)
+    x1 -= x3
+    x3 += _half_toward_zero(x1)
+    x1 -= _half_toward_zero(x3)
+    a[i0], a[i1], a[i2], a[i3] = x0, x1, x2, x3
+
+
+def bitplane_truncate_one_plane_short(nb, p):
+    cut = p.q + 3 - p.beta
+    if cut <= 0 or nb.is_zero:
+        return nb
+    keep = ~((1 << cut) - 1)
+    return NegaBlock(tuple(u & keep for u in nb.digits), nb.e_max)
+
+
+def sequency_permute_two_swapped(fp, p):
+    table = list(pipeline.SEQUENCY_TABLES[p.d])
+    table[1], table[2] = table[2], table[1]
+    return BlockFP(tuple(fp.ints[src] for src in table), fp.e_max, fp.ell)
+
+
+_nega_encode = pipeline.nega_encode
+
+
+def nega_encode_without_top_digit(v, q):
+    u = _nega_encode(v, q)
+    return u ^ (1 << (u.bit_length() - 1)) if u else u
+
+
+MUTANTS = [
+    ("_lift_forward_line", lift_forward_halving_toward_zero, "transformed"),
+    ("bitplane_truncate", bitplane_truncate_one_plane_short, "truncated"),
+    ("sequency_permute", sequency_permute_two_swapped, "permuted"),
+    ("nega_encode", nega_encode_without_top_digit, "nega"),
+]
+
+
+def test_unmutated_fast_path_agrees_on_the_same_blocks():
+    assert blocks_until_caught() is None
+
+
+@pytest.mark.parametrize("name,mutant,stage", MUTANTS, ids=[m[0] for m in MUTANTS])
+def test_oracle_catches_mutant(monkeypatch, name, mutant, stage):
+    monkeypatch.setattr(pipeline, name, mutant)
+    caught = blocks_until_caught()
+    assert caught is not None, f"{name} mutant survived {BLOCKS} blocks"
+    assert caught[1] == stage, caught
