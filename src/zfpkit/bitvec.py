@@ -482,7 +482,8 @@ def fn_encode(x: int) -> Negabinary:
 
     Each step divides with remainder normalized into {0, 1}; the remainders
     are the digits from position 0 upward.  The quotient (x - r) / (-2) is
-    written (r - x) >> 1, which is the same exact division.
+    written (r - x) // 2: r - x is even, so the division is exact, and no
+    negative value is right-shifted.
     """
     if not isinstance(x, int):
         raise TypeError("fn_encode takes an integer")
@@ -492,7 +493,7 @@ def fn_encode(x: int) -> Negabinary:
         r = x & 1
         if r:
             mask |= bit
-        x = (r - x) >> 1
+        x = (r - x) // 2
         bit <<= 1
     return Negabinary(_bs_raw(mask, 0))
 

@@ -124,9 +124,9 @@ _ENVELOPE_MSG = "intermediate escaped the q+1-bit guard envelope"
 
 
 def _lift_forward_line(a: list, i0: int, i1: int, i2: int, i3: int, lim: int):
-    # x >>= 1 floors like a two's-complement arithmetic shift.  The raises
-    # guard the four line sums (the only spots that need the guard bit);
-    # asserts additionally pin every step to the envelope in checked runs.
+    # x >>= 1 floors like a two's-complement arithmetic shift.  Every step is
+    # pinned to the envelope by a raise, never an assert, so ``python -O``
+    # keeps the checks; the line sums are checked before they are halved.
     x0 = a[i0]
     x1 = a[i1]
     x2 = a[i2]
@@ -136,25 +136,29 @@ def _lift_forward_line(a: list, i0: int, i1: int, i2: int, i3: int, lim: int):
         raise TransformOverflowError(_ENVELOPE_MSG)
     x0 >>= 1
     x3 -= x0
-    assert -lim <= x3 <= lim, _ENVELOPE_MSG
+    if x3 > lim or x3 < -lim:
+        raise TransformOverflowError(_ENVELOPE_MSG)
     x2 += x1
     if x2 > lim or x2 < -lim:
         raise TransformOverflowError(_ENVELOPE_MSG)
     x2 >>= 1
     x1 -= x2
-    assert -lim <= x1 <= lim, _ENVELOPE_MSG
+    if x1 > lim or x1 < -lim:
+        raise TransformOverflowError(_ENVELOPE_MSG)
     x0 += x2
     if x0 > lim or x0 < -lim:
         raise TransformOverflowError(_ENVELOPE_MSG)
     x0 >>= 1
     x2 -= x0
-    assert -lim <= x2 <= lim, _ENVELOPE_MSG
+    if x2 > lim or x2 < -lim:
+        raise TransformOverflowError(_ENVELOPE_MSG)
     x3 += x1
     if x3 > lim or x3 < -lim:
         raise TransformOverflowError(_ENVELOPE_MSG)
     x3 >>= 1
     x1 -= x3
-    assert -lim <= x1 <= lim, _ENVELOPE_MSG
+    if x1 > lim or x1 < -lim:
+        raise TransformOverflowError(_ENVELOPE_MSG)
     x3 += x1 >> 1
     x1 -= x3 >> 1
     if x1 > lim or x1 < -lim or x3 > lim or x3 < -lim:
@@ -366,45 +370,46 @@ class PipelineTrace:
     out_values: tuple[float, ...]
 
 
-def compress_block(values, p: CodecParams) -> NegaBlock:
-    """Forward pipeline: values -> truncated negabinary coefficients."""
+def _forward_stages(values, p: CodecParams):
+    """(fp, transformed, permuted, nega, truncated) of one block.
+
+    An all-zero block skips every stage: its three BlockFP stages are the
+    zero BlockFP and both negabinary stages the zero NegaBlock.
+    """
     fp = block_fp_forward(values, p)
     if fp.is_zero:
-        return NegaBlock(fp.ints, None)
-    fp = transform_forward(fp, p)
-    fp = sequency_permute(fp, p)
-    nb = to_negabinary(fp, p)
-    return bitplane_truncate(nb, p)
+        zero = NegaBlock(fp.ints, None)
+        return fp, fp, fp, zero, zero
+    transformed = transform_forward(fp, p)
+    permuted = sequency_permute(transformed, p)
+    nega = to_negabinary(permuted, p)
+    return fp, transformed, permuted, nega, bitplane_truncate(nega, p)
+
+
+def _inverse_stages(nb: NegaBlock, p: CodecParams):
+    """(unpermuted, recovered, out_ints, out_values) of one block."""
+    if nb.is_zero:
+        n = len(nb.digits)
+        zero = BlockFP((0,) * n, None, None)
+        return zero, zero, (0,) * n, (0.0,) * n
+    unpermuted = sequency_unpermute(from_negabinary(nb, p), p)
+    recovered = transform_inverse(unpermuted, p)
+    out_ints = tuple(significand_truncate(v, p.k) for v in recovered.ints)
+    out_values = tuple(math.ldexp(v, recovered.ell) for v in out_ints)
+    return unpermuted, recovered, out_ints, out_values
+
+
+def compress_block(values, p: CodecParams) -> NegaBlock:
+    """Forward pipeline: values -> truncated negabinary coefficients."""
+    return _forward_stages(values, p)[4]
 
 
 def decompress_block(nb: NegaBlock, p: CodecParams) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """Backward pipeline; returns (significand-truncated ints, values)."""
-    if nb.is_zero:
-        n = len(nb.digits)
-        return (0,) * n, (0.0,) * n
-    fp = from_negabinary(nb, p)
-    fp = sequency_unpermute(fp, p)
-    fp = transform_inverse(fp, p)
-    out_ints = tuple(significand_truncate(v, p.k) for v in fp.ints)
-    out_values = tuple(math.ldexp(v, fp.ell) for v in out_ints)
-    return out_ints, out_values
+    return _inverse_stages(nb, p)[2:]
 
 
 def pipeline_trace(values, p: CodecParams) -> PipelineTrace:
     """Run one block through every stage, keeping all intermediates."""
-    fp = block_fp_forward(values, p)
-    if fp.is_zero:
-        n = len(fp.ints)
-        zero_nb = NegaBlock((0,) * n, None)
-        return PipelineTrace(fp, fp, fp, zero_nb, zero_nb, fp, fp,
-                             (0,) * n, (0.0,) * n)
-    transformed = transform_forward(fp, p)
-    permuted = sequency_permute(transformed, p)
-    nega = to_negabinary(permuted, p)
-    truncated = bitplane_truncate(nega, p)
-    unpermuted = sequency_unpermute(from_negabinary(truncated, p), p)
-    recovered = transform_inverse(unpermuted, p)
-    out_ints = tuple(significand_truncate(v, p.k) for v in recovered.ints)
-    out_values = tuple(math.ldexp(v, recovered.ell) for v in out_ints)
-    return PipelineTrace(fp, transformed, permuted, nega, truncated,
-                         unpermuted, recovered, out_ints, out_values)
+    forward = _forward_stages(values, p)
+    return PipelineTrace(*forward, *_inverse_stages(forward[4], p))

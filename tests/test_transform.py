@@ -1,7 +1,11 @@
 """Decorrelating-transform behaviour: golden sequences, exact-matrix oracle,
 separability, guard envelope, and the full-precision junction property."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,33 @@ class TestGuardEnvelope:
         fp = BlockFP((1 << 12, 1 << 12, 0, 0), 9, 0)  # beyond q+1 bits
         with pytest.raises(TransformOverflowError):
             transform_forward(fp, p)
+
+    # Out-of-envelope lines (q = 9, envelope L = 2**10) whose line sums all
+    # stay inside it, so only the per-step checks catch them: (-3L, 0, 0, 3L)
+    # sums to 0 on its first line, and +/-1.2L passes every sum check and ends
+    # inside the envelope, with no error at all once the step checks are gone.
+    ESCAPES = [(-3072, 0, 0, 3072), (1228, 1228, -1228, -1228)]
+
+    @pytest.mark.parametrize("ints", ESCAPES)
+    def test_step_escape_raises(self, ints):
+        with pytest.raises(TransformOverflowError):
+            transform_forward(BlockFP(ints, 8, 0), CodecParams(1, 13, 9, 7))
+
+    @pytest.mark.parametrize("ints", ESCAPES)
+    def test_step_escape_raises_without_asserts(self, ints):
+        # python -O strips asserts; the envelope checks must survive it
+        import zfpkit
+        env = dict(os.environ, PYTHONPATH=str(Path(zfpkit.__file__).resolve().parent.parent))
+        probe = ("from zfpkit.codec import BlockFP, CodecParams, TransformOverflowError, "
+                 "transform_forward\n"
+                 "assert False  # stripped under -O\n"
+                 "try:\n"
+                 f"    transform_forward(BlockFP({ints!r}, 8, 0), CodecParams(1, 13, 9, 7))\n"
+                 "except TransformOverflowError:\n"
+                 "    print('raised')\n")
+        out = subprocess.run([sys.executable, "-O", "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "raised"
 
     def test_legal_inputs_never_trip(self):
         # pipeline-legal inputs: |int| < 2**q after the shared-exponent stage
