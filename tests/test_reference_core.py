@@ -9,11 +9,13 @@ and pin the public ``*_ref`` stage functions to digests of their outputs.
 """
 
 import hashlib
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zfpkit.bitvec import (
+    Dyadic,
     SignedBinary,
     round_half,
     sb_add,
@@ -161,3 +163,9 @@ def test_public_stage_functions_are_pinned_and_chain_to_roundtrip():
         h.update(repr((fp, e_max, ell, tr, pe, nb, tu, back, un, rec, kept, whole)).encode())
     assert h.hexdigest() == WRAPPER_DIGEST
 
+
+def test_block_fp_takes_exact_non_float_values():
+    # ints, dyadic Fractions and Dyadics scale exactly like the equal floats
+    p = CodecParams(1, 13, 9, 7)
+    floats = ref.block_fp_forward_ref([3.0, 0.25, 0.0, -5.5], p)
+    assert ref.block_fp_forward_ref([3, Fraction(1, 4), 0, Dyadic(-11, -1)], p) == floats
