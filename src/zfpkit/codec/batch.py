@@ -1,24 +1,23 @@
-"""Batched block pipeline: every block of a grid at once, on int64/uint64 arrays.
+"""Batched block pipeline: blocks of a grid at once, on int64/uint64 arrays.
 
 The scalar stage functions in :mod:`.pipeline` remain the specification.
-This module computes the same container bytes and the same decoded values
-for grids with q <= MAX_Q, with each stage run as array operations over an
-``(nblocks, 4**d)`` array.  Blocks go through in runs of :func:`chunk_rows`
+This module computes the same digit masks and the same decoded values for
+q <= MAX_Q, with each stage run as array operations over an
+``(nblocks, 4**d)`` array.  It does arithmetic only: :mod:`.stream` writes
+and reads the container records and hands over runs of :func:`chunk_rows`
 blocks, so memory stays bounded whatever the grid size.
 
-* Forward: with |ints| < 2**q, every lifting intermediate stays within
-  2**(q+1) - 2 and every line output within 2**q - 1 (checked exhaustively
-  at q = 4), so int64 never wraps for q <= 62.  Negabinary digits and plane
-  extraction run on uint64.
+* Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
+  intermediate stays within 2**(q+1) - 2 and every line output within
+  2**q - 1 (checked exhaustively at q = 4), and int64 never wraps for
+  q <= 62.  The guard envelope and the negabinary range are still checked,
+  and raise the scalar path's errors.  Negabinary digits and truncation run
+  on uint64.
 * Inverse: intermediates can reach about 4 * 2**q, which wraps int64 at
   q >= 61.  Every add, subtract and doubling step records whether it
   wrapped; each block that wrapped anywhere (negabinary decoding included)
   is decoded again by the scalar :func:`.pipeline.decompress_block`, so
   wrapped results are never used.
-
-:func:`encode_blocks` returns None when some block needs the scalar path
-to raise its exact error (exponent field overflow, guard envelope,
-negabinary range); the caller then runs the scalar loop.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .blocks import _block_array
-from .params import CodecParams
-from .pipeline import SEQUENCY_TABLES, NegaBlock, _inverse_table, decompress_block
+from .params import CodecParams, NegabinaryRangeError, TransformOverflowError
+from .pipeline import _ENVELOPE_MSG, SEQUENCY_TABLES, NegaBlock, _inverse_table, decompress_block
 
 MAX_Q = 62  # forward lifting intermediates stay below 2**(q+1) - 1 <= 2**63 - 1
 
@@ -58,47 +56,42 @@ def _lines(blk: np.ndarray, axis: int) -> list[np.ndarray]:
     return [blk[head + (i,)] for i in range(4)]
 
 
-def _escapes(x: np.ndarray, lim: int) -> bool:
-    return bool(x.max() > lim or x.min() < -lim)
+def _guard(lim: int | None, *xs: np.ndarray) -> None:
+    """Raise TransformOverflowError if an entry of ``xs`` leaves [-lim, lim] (None: no check)."""
+    if lim is not None and any(x.max() > lim or x.min() < -lim for x in xs):
+        raise TransformOverflowError(_ENVELOPE_MSG)
 
 
-def _lift_forward(ints: np.ndarray, p: CodecParams) -> bool:
-    """Forward lifting in place; False if a line sum leaves the guard envelope."""
+def _lift_forward(ints: np.ndarray, p: CodecParams) -> None:
+    """Forward lifting in place; raises if a line sum leaves the guard envelope."""
     if not ints.size:
-        return True
-    lim = 1 << (p.q + 1)
+        return
     # at q = 62 the envelope is not an int64; the input bound covers it
-    if _escapes(ints, (1 << p.q) - 1):
-        return False
-    check = lim <= np.iinfo(np.int64).max
+    _guard((1 << p.q) - 1, ints)
+    lim = 1 << (p.q + 1)
+    lim = lim if lim <= np.iinfo(np.int64).max else None
     blk = ints.reshape((-1,) + (4,) * p.d)
     for axis in reversed(range(p.d)):
         x0, x1, x2, x3 = _lines(blk, axis)
         x0 += x3
-        if check and _escapes(x0, lim):
-            return False
+        _guard(lim, x0)
         x0 >>= 1
         x3 -= x0
         x2 += x1
-        if check and _escapes(x2, lim):
-            return False
+        _guard(lim, x2)
         x2 >>= 1
         x1 -= x2
         x0 += x2
-        if check and _escapes(x0, lim):
-            return False
+        _guard(lim, x0)
         x0 >>= 1
         x2 -= x0
         x3 += x1
-        if check and _escapes(x3, lim):
-            return False
+        _guard(lim, x3)
         x3 >>= 1
         x1 -= x3
         x3 += x1 >> 1
         x1 -= x3 >> 1
-        if check and (_escapes(x1, lim) or _escapes(x3, lim)):
-            return False
-    return True
+        _guard(lim, x1, x3)
 
 
 def _add(x: np.ndarray, y: np.ndarray, wrap: np.ndarray) -> None:
@@ -154,40 +147,29 @@ def _nega_range(q: int) -> tuple[int, int]:
     return max(-(digits & _ODD), -(1 << 63)), digits & _EVEN
 
 
-def encode_blocks(grid: np.ndarray, p: CodecParams, b_e: int) -> bytes | None:
-    """Container payload of every block of ``grid`` (q <= MAX_Q), or None.
-
-    None means some block cannot be coded exactly here: its exponent does not
-    fit the b_e-bit field, or a transform or negabinary range check fails.
-    """
-    blocks = _block_array(grid)
-    rows = chunk_rows(p)
-    pieces = []
-    for first in range(0, len(blocks), rows):
-        piece = _encode_chunk(blocks[first:first + rows], p, b_e)
-        if piece is None:
-            return None
-        pieces.append(piece)
-    return b"".join(pieces)
-
-
-def _encode_chunk(blocks: np.ndarray, p: CodecParams, b_e: int) -> bytes | None:
-    """The records of consecutive blocks, one per row of ``blocks``."""
+def block_exponents(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(live, e_max): which rows hold a nonzero value, and e_max of each such row."""
     nonzero = blocks != 0.0
     live = nonzero.any(axis=1)
     exps = np.frexp(blocks)[1]
     e_max = np.where(nonzero, exps, np.iinfo(exps.dtype).min)[live].max(axis=1) - 1
-    stored = e_max.astype(np.int64) + ((1 << (b_e - 1)) - 1)
-    if stored.size and (stored.min() < 0 or stored.max() >= 1 << b_e):
-        return None
+    return live, e_max.astype(np.int64)
+
+
+def forward(blocks: np.ndarray, live: np.ndarray, e_max: np.ndarray,
+            p: CodecParams) -> np.ndarray:
+    """Truncated digit masks (uint64) of the live rows of ``blocks``.
+
+    ``live`` and ``e_max`` are from :func:`block_exponents`.  Raises
+    TransformOverflowError or NegabinaryRangeError like the scalar stages.
+    """
     # |value| * 2**-ell < 2**q; the int64 cast truncates toward zero like int()
     ints = np.ldexp(blocks[live], (p.q - 1 - e_max)[:, None]).astype(np.int64)
-    if not _lift_forward(ints, p):
-        return None
+    _lift_forward(ints, p)
     coeffs = ints[:, _perm(p.d, False)]
     lo, hi = _nega_range(p.q)
     if coeffs.size and (coeffs.max() > hi or coeffs.min() < lo):
-        return None
+        raise NegabinaryRangeError(f"a coefficient needs more than q+2 = {p.q + 2} digits")
     digits = coeffs.view(np.uint64)
     alt = np.uint64(_ODD)
     digits += alt
@@ -195,39 +177,7 @@ def _encode_chunk(blocks: np.ndarray, p: CodecParams, b_e: int) -> bytes | None:
     cut = p.q + 2 - p.beta
     if cut > 0:
         digits &= np.uint64(((1 << 64) - 1) ^ ((1 << min(cut, 64)) - 1))
-    return _write_records(digits, live, stored, p, b_e)
-
-
-def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
-                   p: CodecParams, b_e: int) -> bytes:
-    """Byte-aligned records (see :mod:`.stream`) of all blocks, from their digit masks."""
-    n, beta = p.n, p.beta
-    one = np.uint64(1)
-    pos = [np.uint64(p.q + 1 - j) for j in range(beta)]
-    # plane j is coded when any coefficient has a digit at pos[j]
-    seen = np.bitwise_or.reduce(digits, axis=1)
-    ncoded = np.zeros(len(digits), dtype=np.uint64)
-    for at in pos:
-        ncoded += (seen >> at) & one
-    size = np.ones(live.size, dtype=np.int64)
-    size[live] = (1 + b_e + beta + n * ncoded.astype(np.int64) + 7) // 8
-    start = 8 * (np.cumsum(size) - size)
-    bits = np.zeros(8 * int(size.sum()), dtype=np.uint8)
-    bits[start[~live]] = 1  # an all-zero block is its flag bit alone
-    at = start[live]
-    for shift in range(b_e - 1, -1, -1):  # the exponent field follows the zero flag
-        at += 1
-        bits[at] = (stored >> shift) & 1
-    at += 1
-    cols = np.arange(1, n + 1)
-    for j in range(beta):
-        coded = ((seen >> pos[j]) & one).astype(bool)
-        bits[at] = coded  # the plane's test bit, then its n bits if coded
-        hit = np.flatnonzero(coded)
-        if hit.size:
-            bits[at[hit, None] + cols] = (digits[hit] >> pos[j]) & one
-        at += 1 + n * coded
-    return np.packbits(bits).tobytes()
+    return digits
 
 
 def _bit_length(m: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ class NegabinaryRangeError(ValueError):
 
 MIN_DIM = 1
 MAX_DIM = 3
+LARGEST_Q = 1024  # block floating point scales values below 2**q in float64: 2**1024 overflows
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,8 @@ class CodecParams:
     k     -- significand width of the source values, counting the leading
              one bit (24 for float32, 53 for float64; toy values allowed).
     q     -- integer precision of the shared-exponent block representation
-             (30/62 for the float32/float64 pairings; toy values allowed).
+             (30/62 for the float32/float64 pairings; toy values allowed),
+             at most 1024, the widest a float64 block can be scaled to.
     beta  -- number of most-significant coefficient bit planes kept,
              0 <= beta <= q + 2.
     allow_wide_beta -- permit beta in (q - 2d + 2, q + 2]; with fewer than
@@ -55,8 +57,8 @@ class CodecParams:
             # decompressed values carry k significand bits; exact float64
             # emission needs k <= 53
             raise ParamError(f"k must be in [2, 53], got {self.k}")
-        if not 2 <= self.q <= 65533:
-            raise ParamError(f"q must be in [2, 65533], got {self.q}")
+        if not 2 <= self.q <= LARGEST_Q:
+            raise ParamError(f"q must be in [2, {LARGEST_Q}], got {self.q}")
         if not 0 <= self.beta <= self.q + 2:
             raise ParamError(f"beta must be in [0, q+2] = [0, {self.q + 2}], got {self.beta}")
         if self.beta > self.beta_default_max and not self.allow_wide_beta:

@@ -25,13 +25,14 @@ A record therefore spans at most ceil((1 + b_e + beta*(1 + 4**d)) / 8)
 bytes.  The payload ends with the last record: trailing bytes make the
 container invalid.
 
-For q <= 62, :mod:`.batch` codes every block at once and writes all records
-with one ``np.packbits``; for larger q, or when a block must raise an
-error, each record is built as one Python int by :func:`_pack_planes`.  The
-reader walks the test bits of each record in one pass, then gathers the
-coded planes of all blocks as n-bit words with array operations.  A block
-whose reconstruction is not a finite float64 makes ``decompress`` raise
-:class:`DecodeError` naming the first such block.
+``compress`` checks every block exponent against the b_e-bit field before
+any coding.  For q <= 62, :mod:`.batch` codes a run of blocks at once and
+:func:`_write_records` writes all their records with one ``np.packbits``;
+for larger q each record is built as one Python int by
+:func:`_pack_planes`.  The reader walks the test bits of each record in one
+pass, then gathers the coded planes of all blocks as n-bit words with array
+operations.  A block whose reconstruction is not a finite float64 makes
+``decompress`` raise :class:`DecodeError` naming the first such block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import GridShapeError, block_count, partition, unpartition
+from .blocks import GridShapeError, _block_array, block_count, unpartition
 from .params import CodecParams, ParamError
 from .pipeline import NegaBlock, compress_block
 
@@ -248,6 +249,38 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
     return NegaBlock(_digits_from_words(words, p), cb.e_max)
 
 
+def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
+                   p: CodecParams, b_e: int) -> bytes:
+    """Records of consecutive blocks; ``digits``, ``stored`` have a row per ``live`` block."""
+    n, beta = p.n, p.beta
+    one = np.uint64(1)
+    pos = [np.uint64(p.q + 1 - j) for j in range(beta)]
+    # plane j is coded when any coefficient has a digit at pos[j]
+    seen = np.bitwise_or.reduce(digits, axis=1)
+    ncoded = np.zeros(len(digits), dtype=np.uint64)
+    for at in pos:
+        ncoded += (seen >> at) & one
+    size = np.ones(live.size, dtype=np.int64)
+    size[live] = (1 + b_e + beta + n * ncoded.astype(np.int64) + 7) // 8
+    start = 8 * (np.cumsum(size) - size)
+    bits = np.zeros(8 * int(size.sum()), dtype=np.uint8)
+    bits[start[~live]] = 1  # an all-zero block is its flag bit alone
+    at = start[live]
+    for shift in range(b_e - 1, -1, -1):  # the exponent field follows the zero flag
+        at += 1
+        bits[at] = (stored >> shift) & 1
+    at += 1
+    cols = np.arange(1, n + 1)
+    for j in range(beta):
+        coded = ((seen >> pos[j]) & one).astype(bool)
+        bits[at] = coded  # the plane's test bit, then its n bits if coded
+        hit = np.flatnonzero(coded)
+        if hit.size:
+            bits[at[hit, None] + cols] = (digits[hit] >> pos[j]) & one
+        at += 1 + n * coded
+    return np.packbits(bits).tobytes()
+
+
 def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> bytes:
     """Compress a d-dimensional array into a self-describing container."""
     grid = np.asarray(grid, dtype=np.float64)
@@ -264,20 +297,27 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
     out = bytearray(_pack_header(header))
     from . import batch  # imported on first use: sweeps and the oracle never need it
 
-    payload = batch.encode_blocks(grid, params, b_e) if params.q <= batch.MAX_Q else None
-    if payload is not None:
-        return bytes(out + payload)
-    # the scalar loop: q > MAX_Q, or a block that raises one of its errors
+    blocks = _block_array(grid)
+    rows = batch.chunk_rows(params)
+    runs = [blocks[first:first + rows] for first in range(0, len(blocks), rows)]
+    exponents = [batch.block_exponents(run) for run in runs]
     bias = (1 << (b_e - 1)) - 1
-    for values in partition(grid):
+    for _, e_max in exponents:
+        misfit = (e_max < -bias) | (e_max >= (1 << b_e) - bias)
+        if misfit.any():
+            raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
+                             f"{b_e}-bit biased field; raise b_e")
+    if params.q <= batch.MAX_Q:
+        for run, (live, e_max) in zip(runs, exponents):
+            digits = batch.forward(run, live, e_max, params)
+            out += _write_records(digits, live, e_max + bias, params, b_e)
+        return bytes(out)
+    for values in blocks.tolist():
         nb = compress_block(values, params)
         if nb.is_zero:
             out.append(_ZERO_RECORD)
             continue
         stored = nb.e_max + bias
-        if not 0 <= stored < (1 << b_e):
-            raise ParamError(
-                f"block exponent {nb.e_max} does not fit a {b_e}-bit biased field; raise b_e")
         value, nbits = _pack_planes(nb, params)
         width = 1 + b_e + nbits  # the leading zero flag is the int's top bit
         nbytes = (width + 7) // 8
@@ -360,12 +400,8 @@ def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecPa
         raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
 
 
-def decompress(data: bytes) -> np.ndarray:
-    """Decompress a container back to a float64 array of the stored dims.
-
-    Raises DecodeError naming the first block whose reconstruction is not a
-    finite float64 (possible for blocks near the float64 maximum at small beta).
-    """
+def _decode(data: bytes) -> tuple[ArrayHeader, np.ndarray]:
+    """The header and every decoded block, padding included, as (nblocks, 4**d)."""
     header, offset = read_header(data)
     params = header.params()
     from . import batch
@@ -383,4 +419,14 @@ def decompress(data: bytes) -> np.ndarray:
             raise DecodeError("reconstructed value exceeds the float64 range",
                               block=len(runs) * batch.chunk_rows(params) + int(np.argmin(finite)))
         runs.append(values)
-    return unpartition(np.concatenate(runs), header.dims)
+    return header, np.concatenate(runs)
+
+
+def decompress(data: bytes) -> np.ndarray:
+    """Decompress a container back to a float64 array of the stored dims.
+
+    Raises DecodeError naming the first block whose reconstruction is not a
+    finite float64 (possible for blocks near the float64 maximum at small beta).
+    """
+    header, blocks = _decode(data)
+    return unpartition(blocks, header.dims)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import BoundInputs, b_beta_exact, k_beta_exact
 from .codec import CodecParams, GridShapeError, compress, compress_block, decompress_block, partition
+from .codec.stream import _decode
 
 
 @dataclass(frozen=True)
@@ -136,30 +137,17 @@ def gen_worst_case_block(d: int, e_min: int, e_max: int, rng: np.random.Generato
 # exact measurement
 
 
-def _scaled_roundtrip(values: Sequence[float], p: CodecParams):
-    """Round-trip one block; inputs and outputs as integers on a shared scale.
+def _exact_ints(xs: Sequence[float], ws: Sequence[float]) -> tuple[list[int], list[int]]:
+    """(X, W) with X[i] = 2**S * xs[i] and W[i] = 2**S * ws[i] for one shared S, all exact.
 
-    Returns (X, W, S): X[i] = 2**S * values[i] and W[i] = 2**S * output[i],
-    both exact, so all error comparisons reduce to integer comparisons.
+    Error comparisons then reduce to integer comparisons, and ``_ratio``
+    gives the same float for any shared power-of-two scale.
     """
-    nb = compress_block(values, p)
-    out_ints, _ = decompress_block(nb, p)
-    pairs = []
-    s_max = 0
-    for v in values:
-        num, den = v.as_integer_ratio()
-        s = den.bit_length() - 1
-        pairs.append((num, s))
-        if s > s_max:
-            s_max = s
-    if nb.is_zero:
-        scale = s_max
-        return [num << (scale - s) for num, s in pairs], [0] * len(pairs), scale
-    ell = nb.e_max - p.q + 1
-    scale = max(s_max, -ell)
-    x_ints = [num << (scale - s) for num, s in pairs]
-    w_ints = [w << (scale + ell) for w in out_ints]
-    return x_ints, w_ints, scale
+    xs = [v.as_integer_ratio() for v in xs]
+    ws = [v.as_integer_ratio() for v in ws]
+    top = max([den for _, den in xs + ws]).bit_length()  # every den is a power of two
+    return ([num << (top - den.bit_length()) for num, den in xs],
+            [num << (top - den.bit_length()) for num, den in ws])
 
 
 def _ratio(a: int, b: int) -> float:
@@ -225,7 +213,7 @@ def measure(values: Sequence[float], p: CodecParams,
     rho = e_max - e_min
     if bound is None:
         bound = applicable_bound_exact(p)
-    x_ints, w_ints, _ = _scaled_roundtrip(values, p)
+    x_ints, w_ints = _exact_ints(values, decompress_block(compress_block(values, p), p)[1])
     errs = [abs(w - x) for w, x in zip(w_ints, x_ints)]
     max_x = max(abs(x) for x in x_ints)
     max_err = max(errs)
@@ -376,9 +364,11 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
                  b_e: int = 11) -> list[GridAnalysisRow]:
     """Per-beta worst block error and compression ratio for one grid.
 
-    The bound column carries the constant that applies to each beta (the
-    loose one in the wide regime).  Violations are counted with exact
-    arithmetic and should always be zero.
+    Each nonzero block of ``partition(grid)`` is compared with the block
+    that beta's container decodes to (DecodeError if one leaves the float64
+    range).  The bound column carries the constant that applies to each
+    beta (the loose one in the wide regime).  Violations are counted with
+    exact arithmetic and should always be zero.
     """
     grid = np.asarray(grid, dtype=np.float64)
     blocks = partition(grid)
@@ -387,14 +377,15 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
     for beta in betas:
         p = CodecParams(grid.ndim, k, q, beta, allow_wide_beta=allow_wide_beta)
         payload = compress(grid, p, b_e=b_e)
+        _, decoded = _decode(payload)
         bound = applicable_bound_exact(p)
         num, den = bound.numerator, bound.denominator
         worst = 0.0
         violations = 0
-        for blk in blocks:
+        for blk, out in zip(blocks, decoded.tolist()):
             if all(v == 0.0 for v in blk):
                 continue
-            x_ints, w_ints, _ = _scaled_roundtrip(blk, p)
+            x_ints, w_ints = _exact_ints(blk, out)
             max_err = max(abs(w - x) for w, x in zip(w_ints, x_ints))
             max_x = max(abs(x) for x in x_ints)
             if max_err * den > num * max_x:

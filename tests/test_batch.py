@@ -146,3 +146,19 @@ def test_grids_spanning_several_runs_of_blocks(shape, k, q):
     for damaged in (data[:-1], data + b"\x00"):
         with pytest.raises(ContainerError):
             decompress(damaged)
+
+
+def test_forward_keeps_its_range_checks(monkeypatch):
+    from zfpkit.codec import NegabinaryRangeError, TransformOverflowError
+
+    p = CodecParams(1, 13, 9, 9)
+    blocks = np.array([[3.0, -1.0, 0.5, 2.0]])
+    live, e_max = batch.block_exponents(blocks)
+    assert live.tolist() == [True] and e_max.tolist() == [1]
+    batch.forward(blocks, live, e_max, p)
+    # an exponent three short scales the block past 2**q
+    with pytest.raises(TransformOverflowError):
+        batch.forward(blocks, live, e_max - 3, p)
+    monkeypatch.setattr(batch, "_lift_forward", lambda ints, p: None)
+    with pytest.raises(NegabinaryRangeError):
+        batch.forward(blocks, live, e_max - 3, p)

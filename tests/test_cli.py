@@ -184,3 +184,22 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli.X, "sweep", fake_sweep)
         code, _, stderr = run(capsys, "experiment", "--trials", "1")
         assert code == 1 and "VIOLATION" in stderr
+
+
+class TestOneLineErrors:
+    def test_near_max_grid_analysis(self, tmp_path, capsys):
+        src = tmp_path / "g.raw"
+        (np.random.default_rng(0).uniform(-1.0, 1.0, (8, 8)) * 1.7e308).tofile(src)
+        code, _, stderr = run(capsys, "experiment", "--grid", str(src), "--dims", "8,8",
+                              "--beta-range", "4")
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert "float64 range" in stderr and "block " in stderr
+
+    def test_q_above_1024_refused(self, tmp_path, capsys):
+        src = tmp_path / "v.raw"
+        np.ones(4).tofile(src)
+        code, _, stderr = run(capsys, "compress", str(src), "--dims", "4", "--q", "1100")
+        assert code == 2
+        assert stderr.count("\n") == 1 and "q must be in [2, 1024]" in stderr
+        assert not (tmp_path / "v.raw.zfpk").exists()

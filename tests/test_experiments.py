@@ -201,3 +201,52 @@ class TestAnalyzeGrid:
         lines = buf.getvalue().splitlines()
         assert lines[0] == GRID_CSV_HEADER
         assert len(lines) == 2
+
+
+class TestAnalyzeGridReadsItsContainer:
+    """Each row measures the blocks that beta's container decodes to."""
+
+    @staticmethod
+    def decoded_block_error(grid, p, b_e):
+        """max over nonzero blocks of max|w - x| / max|x|, from decompress, in Fractions."""
+        from fractions import Fraction
+
+        from zfpkit.codec import compress, decompress, partition
+
+        out = decompress(compress(grid, p, b_e=b_e))
+        worst = Fraction(0)
+        for x, w in zip(partition(grid), partition(out)):
+            if any(x):
+                err = max(abs(Fraction(a) - Fraction(b)) for a, b in zip(w, x))
+                worst = max(worst, err / max(abs(Fraction(a)) for a in x))
+        return float(worst)
+
+    @pytest.mark.parametrize("scale, b_e", [(1.0, 11), (1e-300, 11), (5e-324, 13),
+                                            (1e-310, 13)])
+    def test_rows_equal_the_decoded_container_error(self, scale, b_e):
+        # at the subnormal scales decoded values round in ldexp; the rows
+        # report the error of those floats, not of the integers before them.
+        # No padding: partition(out) re-pads from decoded values, the container does not
+        grid = np.random.default_rng(17).uniform(-1.0, 1.0, (8, 12)) * scale
+        betas = (2, 8, 30, 60)
+        rows = analyze_grid(grid, 53, 62, betas, b_e=b_e)
+        for beta, row in zip(betas, rows):
+            want = self.decoded_block_error(grid, CodecParams(2, 53, 62, beta), b_e)
+            assert row.max_block_err == want
+
+    def test_near_max_grid_raises_decode_error_naming_the_block(self):
+        from zfpkit.codec import DecodeError, compress_block, decompress_block, partition
+
+        grid = np.random.default_rng(0).uniform(-1.0, 1.0, (8, 8)) * 1.7e308
+        p = CodecParams(2, 53, 62, 4)
+        first = None
+        for i, blk in enumerate(partition(grid)):
+            try:
+                decompress_block(compress_block(blk, p), p)
+            except OverflowError:
+                first = i
+                break
+        assert first is not None
+        with pytest.raises(DecodeError, match="float64 range") as info:
+            analyze_grid(grid, 53, 62, (4,))
+        assert info.value.block == first

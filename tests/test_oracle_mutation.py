@@ -38,6 +38,22 @@ def a06_blocks(count):
         yield blk, p
 
 
+def digit_q1_blocks():
+    """Constant blocks whose one nonzero coefficient needs negabinary digit q+1, d = 1, 2, 3.
+
+    The value -(1 - 2**-k) for even q, or 1 - 2**-k for odd q, scales to an
+    integer near -2**q or 2**q, and digit q+1 (weight -2**(q+1) for even q,
+    2**(q+1) for odd q) is the only digit that reaches it.  a06's draws
+    almost never do.
+    """
+    for d in (1, 2, 3):
+        for k, q in ((13, 9), (24, 30), (53, 62)):
+            value = 1.0 - 2.0 ** -k
+            for beta in (1, q - 2 * d + 2, q + 2):
+                yield [value if q % 2 else -value] * 4 ** d, CodecParams(
+                    d, k, q, beta, allow_wide_beta=True)
+
+
 def first_mismatch(values, p):
     """Name of the first stage where the fast trace and the oracle differ, or None."""
     fast = pipeline_trace(values, p)
@@ -115,6 +131,10 @@ def nega_encode_without_top_digit(v, q):
     return u ^ (1 << (u.bit_length() - 1)) if u else u
 
 
+def nega_encode_without_digit_q1(v, q):
+    return _nega_encode(v, q) & ((1 << (q + 1)) - 1)
+
+
 MUTANTS = [
     ("_lift_forward_line", lift_forward_halving_toward_zero, "transformed"),
     ("bitplane_truncate", bitplane_truncate_one_plane_short, "truncated"),
@@ -133,3 +153,16 @@ def test_oracle_catches_mutant(monkeypatch, name, mutant, stage):
     caught = blocks_until_caught()
     assert caught is not None, f"{name} mutant survived {BLOCKS} blocks"
     assert caught[1] == stage, caught
+
+
+def test_digit_q1_blocks_reach_it_and_agree():
+    for blk, p in digit_q1_blocks():
+        assert any(u >> (p.q + 1) for u in pipeline_trace(blk, p).nega.digits), (blk[0], p)
+        assert first_mismatch(blk, p) is None
+
+
+def test_oracle_catches_negabinary_without_digit_q1(monkeypatch):
+    # this mutant survives a06-shaped blocks; the digit q+1 blocks catch it
+    monkeypatch.setattr(pipeline, "nega_encode", nega_encode_without_digit_q1)
+    for blk, p in digit_q1_blocks():
+        assert first_mismatch(blk, p) == "nega", p

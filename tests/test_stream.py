@@ -159,6 +159,46 @@ class TestContainer:
             read_header(bytes(data))
 
 
+class TestPrecisionCap:
+    """q <= 1024: block floating point scales every finite float64 below 2**q."""
+
+    @pytest.mark.parametrize("values, b_e", [
+        ([5e-324, 1.7e308, 1.0, -2.0], 11),
+        ([1.7976931348623157e308, -1.7976931348623157e308, 1e308, 0.0], 11),
+        ([5e-324, -5e-324, 1e-320, 0.0], 13),
+    ])
+    def test_q_1024_round_trips_extreme_grids(self, values, b_e):
+        p = CodecParams(1, 53, 1024, 1024)
+        out = decompress(compress(np.array(values), p, b_e=b_e))
+        assert out.shape == (4,) and np.isfinite(out).all()
+
+    def test_q_1025_refused(self):
+        with pytest.raises(ParamError, match="1024"):
+            CodecParams(1, 53, 1025, 8)
+
+    def test_header_with_q_above_1024_refused(self):
+        data = bytearray(compress(np.zeros(4), CodecParams(1, 53, 1024, 8)))
+        data[8:10] = (1025).to_bytes(2, "little")
+        with pytest.raises(ContainerError, match="inconsistent"):
+            read_header(bytes(data))
+
+
+class TestExponentFieldCheck:
+    """Every block exponent is checked before any coding, for every q."""
+
+    @pytest.mark.parametrize("q", [30, 62, 80])
+    def test_first_misfit_block_named(self, q):
+        grid = np.ones((4, 12))
+        grid[:, 4:8] = 2.0 ** 200  # block 1: exponent 200
+        grid[:, 8:] = 2.0 ** -300  # block 2: exponent -300
+        p = CodecParams(2, 24 if q == 30 else 53, q, 8)
+        with pytest.raises(ParamError, match="block exponent 200 does not fit a 8-bit"):
+            compress(grid, p, b_e=8)
+        with pytest.raises(ParamError, match="block exponent -300 does not fit a 9-bit"):
+            compress(grid, p, b_e=9)
+        compress(grid, p, b_e=10)
+
+
 class TestReconstructionRange:
     """Blocks near the float64 maximum can reconstruct beyond it at small beta."""
 
