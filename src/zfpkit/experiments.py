@@ -206,7 +206,7 @@ def measure(values: Sequence[float], p: CodecParams,
     exact integer comparisons, never from the reported floats.
     """
     values = [float(v) for v in values]
-    if all(v == 0.0 for v in values):
+    if not any(values):
         raise ValueError("measure requires a nonzero block")
     if e_min is None or e_max is None:
         e_min, e_max = derive_exponents(values)
@@ -215,7 +215,7 @@ def measure(values: Sequence[float], p: CodecParams,
         bound = applicable_bound_exact(p)
     x_ints, w_ints = _exact_ints(values, decompress_block(compress_block(values, p), p)[1])
     errs = [abs(w - x) for w, x in zip(w_ints, x_ints)]
-    max_x = max(abs(x) for x in x_ints)
+    max_x = max(map(abs, x_ints))
     max_err = max(errs)
     num, den = bound.numerator, bound.denominator
     block_violation = max_err * den > num * max_x
@@ -383,11 +383,11 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
         worst = 0.0
         violations = 0
         for blk, out in zip(blocks, decoded.tolist()):
-            if all(v == 0.0 for v in blk):
+            if not any(blk):
                 continue
             x_ints, w_ints = _exact_ints(blk, out)
             max_err = max(abs(w - x) for w, x in zip(w_ints, x_ints))
-            max_x = max(abs(x) for x in x_ints)
+            max_x = max(map(abs, x_ints))
             if max_err * den > num * max_x:
                 violations += 1
             r = _ratio(max_err, max_x)
