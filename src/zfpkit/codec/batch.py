@@ -152,8 +152,8 @@ def block_exponents(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nonzero = blocks != 0.0
     live = nonzero.any(axis=1)
     exps = np.frexp(blocks)[1]
-    e_max = np.where(nonzero, exps, np.iinfo(exps.dtype).min)[live].max(axis=1) - 1
-    return live, e_max.astype(np.int64)
+    # e_max stays int32: np.ldexp has a fast loop for int32 exponents only
+    return live, np.where(nonzero, exps, np.iinfo(exps.dtype).min)[live].max(axis=1) - 1
 
 
 def forward(blocks: np.ndarray, live: np.ndarray, e_max: np.ndarray,

@@ -299,18 +299,21 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
 
     blocks = _block_array(grid)
     rows = batch.chunk_rows(params)
-    runs = [blocks[first:first + rows] for first in range(0, len(blocks), rows)]
-    exponents = [batch.block_exponents(run) for run in runs]
     bias = (1 << (b_e - 1)) - 1
-    for _, e_max in exponents:
-        misfit = (e_max < -bias) | (e_max >= (1 << b_e) - bias)
+    runs = []
+    for first in range(0, len(blocks), rows):
+        run = blocks[first:first + rows]
+        live, e_max = batch.block_exponents(run)
+        stored = e_max.astype(np.int64) + bias
+        misfit = (stored < 0) | (stored >= 1 << b_e)
         if misfit.any():
             raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
                              f"{b_e}-bit biased field; raise b_e")
+        runs.append((run, live, e_max, stored))
     if params.q <= batch.MAX_Q:
-        for run, (live, e_max) in zip(runs, exponents):
+        for run, live, e_max, stored in runs:
             digits = batch.forward(run, live, e_max, params)
-            out += _write_records(digits, live, e_max + bias, params, b_e)
+            out += _write_records(digits, live, stored, params, b_e)
         return bytes(out)
     for values in blocks.tolist():
         nb = compress_block(values, params)
