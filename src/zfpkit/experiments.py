@@ -19,7 +19,6 @@ import numpy as np
 
 from .bounds import BoundInputs, b_beta_exact, k_beta_exact
 from .codec import CodecParams, GridShapeError, compress, compress_block, decompress_block, partition
-from .codec.stream import _decode
 
 
 @dataclass(frozen=True)
@@ -370,6 +369,8 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
     beta (the loose one in the wide regime).  Violations are counted with
     exact arithmetic and should always be zero.
     """
+    from .codec.stream import _decode
+
     grid = np.asarray(grid, dtype=np.float64)
     blocks = partition(grid)
     raw_bytes = grid.size * scalar_bytes
