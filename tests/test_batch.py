@@ -1,10 +1,11 @@
 """The batched container path equals a per-block assembly of the scalar pipeline.
 
 ``compress`` and ``decompress`` run every block at once on int64/uint64
-arrays for q <= 62.  The reference here builds the same container from the
-scalar stage functions one block at a time (``compress_block``,
-``_pack_planes``, ``decompress_block``); bytes, decoded values and raised
-exception types must match exactly.
+arrays for q <= 62 and write and read the records of every q in runs of
+blocks.  The reference here builds the same container from the scalar
+stage functions one block at a time (``compress_block``, ``_pack_planes``,
+``decompress_block``); bytes, decoded values and raised exception types
+must match exactly.
 """
 
 import numpy as np
@@ -28,7 +29,7 @@ from zfpkit.codec import (
 from zfpkit.codec import batch
 from zfpkit.codec.stream import _pack_header, _pack_planes
 
-K_FOR_Q = {9: 13, 30: 24, 61: 53, 62: 53}
+K_FOR_Q = {9: 13, 30: 24, 61: 53, 62: 53, 80: 53}
 
 
 def scalar_container(grid, p, b_e):

@@ -101,6 +101,20 @@ class TestCompressDecompress:
         assert stderr.count("\n") == 1 and "Traceback" not in stderr
         assert "float64 range" in stderr and "block 0" in stderr
 
+    def test_bit_flipped_container_is_one_line_error(self, tmp_path, capsys):
+        src = tmp_path / "v.raw"
+        np.arange(1, 5, dtype=np.float64).tofile(src)
+        out = tmp_path / "v.zfpk"
+        run(capsys, "compress", str(src), "--dims", "4", "--out", str(out))
+        data = bytearray(out.read_bytes())
+        # the zero flag of the only block: a one-byte record, then trailing bytes
+        data[18] ^= 0x80
+        out.write_bytes(bytes(data))
+        code, _, stderr = run(capsys, "decompress", str(out),
+                              "--out", str(tmp_path / "v.out"))
+        assert code == 2
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+
     def test_no_partial_output_on_error(self, tmp_path, capsys):
         target = tmp_path / "keep.raw"
         target.write_bytes(b"sentinel")

@@ -278,3 +278,36 @@ class TestDamagedContainer:
         for cut in range(len(blob)):
             with pytest.raises(ContainerError):
                 decompress(blob[:cut])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.sampled_from([(13, 9), (24, 30), (53, 62), (53, 80)]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    def test_bit_flips_and_spliced_headers_raise_only_container_error(self, d, kq, seed, data):
+        k, q = kq
+        rng = np.random.default_rng(seed)
+
+        def container():
+            beta = data.draw(st.integers(min_value=0, max_value=q - 2 * d + 2))
+            shape = (data.draw(st.integers(min_value=5, max_value=8)),) + tuple(
+                data.draw(st.integers(min_value=1, max_value=4)) for _ in range(d - 1))
+            grid = rng.standard_normal(shape) * np.exp2(rng.integers(-12, 13, size=shape))
+            grid[:4] = 0.0
+            return compress(grid, CodecParams(d, k, q, beta))
+
+        blob, other = container(), container()
+        cut, other_cut = read_header(blob)[1], read_header(other)[1]
+        # each container's header on the other's payload
+        damaged = [blob[:cut] + other[other_cut:], other[:other_cut] + blob[cut:]]
+        # every header bit, and a sample of payload bits
+        bits = list(range(8 * cut))
+        bits += rng.choice(np.arange(8 * cut, 8 * len(blob)), size=min(48, 8 * (len(blob) - cut)),
+                           replace=False).tolist()
+        for bit in bits:
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            damaged.append(bytes(flipped))
+        for bad in damaged:
+            try:
+                decompress(bad)  # a damaged container may still be a valid one
+            except ContainerError:
+                pass
