@@ -85,7 +85,7 @@ def _build_params(args, d: int) -> CodecParams:
 
 def _bound_label(p: CodecParams) -> tuple[str, float]:
     value = X.applicable_bound_exact(p)
-    name = "K_beta" if (p.beta <= p.beta_default_max or p.beta == p.q + 2) else "B_beta"
+    name = "K_beta" if X.k_beta_applies(p) else "B_beta"
     return name, float(value)
 
 

@@ -4,8 +4,9 @@ The scalar stage functions in :mod:`.pipeline` remain the specification.
 This module computes the same digit masks and the same decoded values for
 q <= MAX_Q, with each stage run as array operations over an
 ``(nblocks, 4**d)`` array.  It does arithmetic only: :mod:`.stream` writes
-and reads the container records and hands over runs of :func:`chunk_rows`
-blocks, so memory stays bounded whatever the grid size.
+and reads the container records, and the two modules exchange only block
+exponents and digit masks, a run of :func:`chunk_rows` blocks at a time,
+so memory stays bounded whatever the grid size.
 
 * Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
   intermediate stays within 2**(q+1) - 2 and every line output within
@@ -46,7 +47,8 @@ def _perm(d: int, inverse: bool) -> np.ndarray:
 
 def chunk_rows(p: CodecParams) -> int:
     """Blocks coded or decoded together; this bounds each run's temporaries
-    (at most a few hundred kB: the stream bits of a run, one byte per bit)."""
+    (at most a few MB for q <= 62: the stream bits of a run and the bits of
+    its kept planes, one byte per bit, with their int64 stream positions)."""
     return _CHUNK_VALUES // p.n
 
 
@@ -199,32 +201,19 @@ def scalar_values(digits, e_max: int, p: CodecParams) -> tuple[float, ...]:
         return (math.inf,) * p.n
 
 
-def _digits(words: np.ndarray, p: CodecParams) -> np.ndarray:
-    """Digit masks (m, n) uint64 from plane words (m, beta); plane j is digit q + 1 - j."""
-    m, beta = words.shape
-    top = words << (8 * words.itemsize - p.n)  # word bits at the top, for count=n below
-    big_endian = top.astype(top.dtype.newbyteorder(">")).view(np.uint8)
-    planes = np.unpackbits(big_endian.reshape(m, beta, -1), axis=2, count=p.n)
-    # one byte per digit, most significant first: digit i sits in column 63 - i
-    cube = np.zeros((m, p.n, 64), dtype=np.uint8)
-    cube[:, :, 62 - p.q:62 - p.q + beta] = planes.transpose(0, 2, 1)
-    return np.packbits(cube, axis=2).view(">u8")[:, :, 0].astype(np.uint64)
-
-
-def decode_blocks(e_max: np.ndarray, words: np.ndarray, p: CodecParams) -> np.ndarray:
+def decode_blocks(e_max: np.ndarray, digits: np.ndarray, p: CodecParams) -> np.ndarray:
     """Decoded values of every block (q <= MAX_Q) as an (nblocks, 4**d) array.
 
-    ``words`` holds each block's kept planes, one n-bit word per plane with
-    coefficient 0 in the top bit (0 for an empty plane).  A block without a
-    coded plane decodes to zeros.  Values beyond the float64 range come back
-    as inf.
+    ``digits`` holds each block's truncated digit masks as uint64.  A block
+    without a digit decodes to zeros.  Values beyond the float64 range come
+    back as inf.
     """
     n, q = p.n, p.q
-    values = np.zeros((len(words), n))
-    live = np.flatnonzero(words.any(axis=1))
+    values = np.zeros((len(digits), n))
+    live = np.flatnonzero(digits.any(axis=1))
     if not live.size:
         return values
-    digits = _digits(words[live], p)
+    digits = digits[live]
     even = digits & np.uint64(_EVEN)
     odd = digits & np.uint64(_ODD)
     v = (even - odd).view(np.int64)

@@ -77,8 +77,3 @@ class CodecParams:
     def beta_default_max(self) -> int:
         """Largest beta for which the inverse transform never rounds."""
         return self.q - 2 * self.d + 2
-
-    @property
-    def wide_beta(self) -> bool:
-        """True when this beta relies on the opt-in regime."""
-        return self.beta > self.beta_default_max

@@ -26,13 +26,17 @@ bytes.  The payload ends with the last record: trailing bytes make the
 container invalid.
 
 ``compress`` checks every block exponent against the b_e-bit field before
-any coding.  For q <= 62, :mod:`.batch` codes a run of blocks at once and
-:func:`_write_records` writes all their records with one ``np.packbits``;
-for larger q each record is built as one Python int by
-:func:`_pack_planes`.  The reader walks the test bits of each record in one
-pass, then gathers the coded planes of all blocks as n-bit words with array
-operations.  A block whose reconstruction is not a finite float64 makes
-``decompress`` raise :class:`DecodeError` naming the first such block.
+any coding.  Block exponents and digit masks are the only hand-off between
+the records and the block arithmetic: :mod:`.batch` computes the masks of
+a run of blocks at once for q <= 62, the scalar
+:func:`.pipeline.compress_block` for larger q, and :func:`_write_records`
+writes the records of the run with one ``np.packbits`` either way.  The
+reader walks the test bits of each record in one pass, then turns the
+coded planes of all blocks into their digit masks with array operations
+(:func:`_gather_digits`).  Rows of digit masks are uint64 while the q + 2
+digit positions fit 64 bits and Python ints above.  A block whose
+reconstruction is not a finite float64 makes ``decompress`` raise
+:class:`DecodeError` naming the first such block.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .blocks import GridShapeError, _block_array, block_count, unpartition
 from .params import CodecParams, ParamError
@@ -54,8 +59,6 @@ _EXPONENT_BITS_RANGE = range(2, 33)
 _MAX_BLOCK_EXPONENT = 1023  # largest exponent of a finite float64
 
 _FLAG_WIDE_BETA = 0x01
-_ZERO_RECORD = 0x80  # the whole record of an all-zero block: flag bit, padding
-_WORD_TYPES = {4: np.uint8, 16: np.uint16, 64: np.uint64}  # one plane of 4**d bits
 
 
 class ContainerError(ValueError):
@@ -207,17 +210,43 @@ def _walk_planes(bits, at: int, limit: int, p: CodecParams,
     return at
 
 
-def _digits_from_words(words, p: CodecParams) -> tuple[int, ...]:
-    """Digit masks of one block from its plane words (plane 0 is position q+1)."""
-    n = p.n
-    digits = [0] * n
-    for plane_idx, plane in enumerate(words):
-        if plane:
-            bit = 1 << (p.q + 1 - plane_idx)
-            for c in range(n):
-                if (plane >> (n - 1 - c)) & 1:
-                    digits[c] |= bit
-    return tuple(digits)
+def _digit_type(p: CodecParams) -> type:
+    """Digit masks are uint64 while the q + 2 digit positions fit 64 bits, Python ints above."""
+    return np.uint64 if p.q + 2 <= 64 else object
+
+
+def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Positions (beta, records) of the plane test bits of records starting at ``pos``.
+
+    ``stream`` holds one byte per bit (:func:`_stream_bits`); each plane is
+    its test bit, then its n bits if the test bit is 1.
+    """
+    length = 1 + p.n * stream  # bits in a plane whose test bit is at i, for every i
+    at = np.empty((p.beta, len(pos)), dtype=np.int64)
+    at[:1] = pos  # nothing to fill when beta = 0
+    for j in range(1, p.beta):
+        np.add(at[j - 1], length[at[j - 1]], out=at[j])
+    return at
+
+
+def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Digit masks of the records whose first plane test bit is at ``pos`` in ``stream``.
+
+    Plane j of a record is digit position q + 1 - j.  Returns one row of n
+    masks per record (see :func:`_digit_type`).
+    """
+    at = _plane_starts(stream, pos, p)
+    # (beta, records, 1 + n): each plane's test bit and the n bits after it, read
+    # through a read-only view whose row i is stream[i:i + 1 + n]
+    window = as_strided(stream, (len(stream) - p.n, 1 + p.n), (1, 1), writeable=False)
+    plane = window[at]
+    plane[..., 1:] *= plane[..., :1]  # an empty plane has no digits
+    # one byte per digit position of each mask, most significant first, in whole bytes
+    width = -(-(p.q + 2) // 8) * 8
+    digit = np.zeros((len(pos), p.n, width), dtype=np.uint8)
+    digit[:, :, width - 2 - p.q:width - 2 - p.q + p.beta] = plane[..., 1:].transpose(1, 2, 0)
+    byte = np.array([1 << 8 * k for k in reversed(range(width // 8))], dtype=_digit_type(p))
+    return np.packbits(digit, axis=2) @ byte  # each mask's big-endian bytes as one int
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
@@ -238,26 +267,24 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
         return NegaBlock((0,) * p.n, None)
     bits = _stream_bits(cb.payload, p)
     _walk_planes(bits, 0, 8 * len(cb.payload), p)
-    window = int.from_bytes(cb.payload, "big")
-    words = [0] * p.beta
-    at = 0
-    for plane_idx in range(p.beta):
-        at += 1
-        if bits[at - 1]:
-            at += p.n
-            words[plane_idx] = (window >> (8 * len(cb.payload) - at)) & ((1 << p.n) - 1)
-    return NegaBlock(_digits_from_words(words, p), cb.e_max)
+    digits = _gather_digits(np.asarray(bits), np.zeros(1, dtype=np.int64), p)
+    return NegaBlock(tuple(digits[0].tolist()), cb.e_max)
 
 
 def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
                    p: CodecParams, b_e: int) -> bytes:
-    """Records of consecutive blocks; ``digits``, ``stored`` have a row per ``live`` block."""
+    """Records of consecutive blocks; ``digits``, ``stored`` have a row per ``live`` block.
+
+    ``digits`` rows are digit masks as uint64 or Python ints (see :func:`_digit_type`).
+    """
     n, beta = p.n, p.beta
-    one = np.uint64(1)
-    pos = [np.uint64(p.q + 1 - j) for j in range(beta)]
+    if digits.dtype == object:
+        one, pos = 1, [p.q + 1 - j for j in range(beta)]
+    else:  # uint64 operands: a plain int shift would promote to float64 under NumPy 1.x
+        one, pos = np.uint64(1), [np.uint64(p.q + 1 - j) for j in range(beta)]
     # plane j is coded when any coefficient has a digit at pos[j]
     seen = np.bitwise_or.reduce(digits, axis=1)
-    ncoded = np.zeros(len(digits), dtype=np.uint64)
+    ncoded = np.zeros(len(digits), dtype=digits.dtype)
     for at in pos:
         ncoded += (seen >> at) & one
     size = np.ones(live.size, dtype=np.int64)
@@ -310,44 +337,28 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
             raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
                              f"{b_e}-bit biased field; raise b_e")
         runs.append((run, live, e_max, stored))
-    if params.q <= batch.MAX_Q:
-        for run, live, e_max, stored in runs:
+    for run, live, e_max, stored in runs:
+        if params.q <= batch.MAX_Q:
             digits = batch.forward(run, live, e_max, params)
-            out += _write_records(digits, live, stored, params, b_e)
-        return bytes(out)
-    for values in blocks.tolist():
-        nb = compress_block(values, params)
-        if nb.is_zero:
-            out.append(_ZERO_RECORD)
-            continue
-        stored = nb.e_max + bias
-        value, nbits = _pack_planes(nb, params)
-        width = 1 + b_e + nbits  # the leading zero flag is the int's top bit
-        nbytes = (width + 7) // 8
-        out += (((stored << nbits) | value) << (8 * nbytes - width)).to_bytes(nbytes, "big")
+        else:
+            digits = np.zeros((len(stored), params.n), dtype=_digit_type(params))
+            for r, values in enumerate(run[live].tolist()):
+                digits[r] = compress_block(values, params).digits
+        out += _write_records(digits, live, stored, params, b_e)
     return bytes(out)
-
-
-def _pack_words(bits: np.ndarray, n: int) -> np.ndarray:
-    """Rows of n bits (one byte each, first bit most significant) as n-bit words."""
-    packed = np.packbits(bits, axis=1)
-    if n == 4:
-        return packed[:, 0] >> 4
-    return packed.view(f">u{n // 8}")[:, 0]
 
 
 def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
               params: CodecParams):
     """Parse ``count`` records from the start of ``window``, the first being block ``first``.
 
-    Returns (e_max, words, bytes read): e_max per block and a (count, beta)
-    array with one n-bit word per kept plane, coefficient 0 in the top bit
-    (0 for an empty plane).  A zero block reads as e_max 0 with no coded
-    plane, which decodes to zeros like any block without one.
+    Returns (e_max, digits, bytes read): e_max per block and a (count, n)
+    array of digit masks (see :func:`_gather_digits`).  A zero block reads
+    as e_max 0 with no digit, which decodes to zeros like any block without
+    one.
     """
     b_e = header.b_e
     bias = (1 << (b_e - 1)) - 1
-    n, beta = params.n, params.beta
     prologue = 1 + b_e
     prologue_bytes = (prologue + 7) // 8
     bits = _stream_bits(window, params)
@@ -373,32 +384,24 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
         end = _walk_planes(bits, at + prologue, limit, params, first + r)
         at += (end - at + 7) & -8
     # the same walk over all records of the run at once, now that their starts are known
-    stream = np.asarray(bits)
-    words = np.zeros((count, beta), dtype=_WORD_TYPES[n])
+    digits = np.zeros((count, params.n), dtype=_digit_type(params))
     live = np.flatnonzero(planes_at)
-    pos = planes_at[live]
-    cols = np.arange(1, n + 1)
-    for j in range(beta):
-        coded = stream[pos]
-        hit = np.flatnonzero(coded)
-        if hit.size:
-            words[live[hit], j] = _pack_words(stream[pos[hit, None] + cols], n)
-        pos += 1 + n * coded
-    return e_max, words, at // 8
+    digits[live] = _gather_digits(np.asarray(bits), planes_at[live], params)
+    return e_max, digits, at // 8
 
 
 def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecParams,
                   rows: int):
-    """Yield (e_max, words) of :func:`_read_run` for runs of ``rows`` blocks."""
+    """Yield (e_max, digits) of :func:`_read_run` for runs of ``rows`` blocks."""
     record_bytes = (1 + header.b_e + params.beta * (1 + params.n) + 7) // 8
     nblocks = header.block_count
     for first in range(0, nblocks, rows):
         count = min(rows, nblocks - first)
         # no record is longer than record_bytes, so the run lies inside this window
         window = data[offset:offset + count * record_bytes]
-        e_max, words, used = _read_run(window, first, count, header, params)
+        e_max, digits, used = _read_run(window, first, count, header, params)
         offset += used
-        yield e_max, words
+        yield e_max, digits
     if offset != len(data):
         raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
 
@@ -410,13 +413,12 @@ def _decode(data: bytes) -> tuple[ArrayHeader, np.ndarray]:
     from . import batch
 
     runs = []
-    for e_max, words in _read_records(data, offset, header, params, batch.chunk_rows(params)):
+    for e_max, digits in _read_records(data, offset, header, params, batch.chunk_rows(params)):
         if params.q <= batch.MAX_Q:
-            values = batch.decode_blocks(e_max, words, params)
+            values = batch.decode_blocks(e_max, digits, params)
         else:
-            values = np.array([
-                batch.scalar_values(_digits_from_words(w.tolist(), params), int(e), params)
-                for e, w in zip(e_max, words)])
+            values = np.array([batch.scalar_values(row, int(e), params)
+                               for e, row in zip(e_max, digits.tolist())])
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise DecodeError("reconstructed value exceeds the float64 range",

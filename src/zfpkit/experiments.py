@@ -162,16 +162,21 @@ def _ratio(a: int, b: int) -> float:
     return a / b
 
 
-def applicable_bound_exact(p: CodecParams) -> Fraction:
-    """The proved round-trip constant for this configuration.
+def k_beta_applies(p: CodecParams) -> bool:
+    """True when the tight constant K_beta bounds the round trip, else B_beta.
 
-    The tight constant applies in the default regime and again at
-    beta = q + 2, where the inverse transform exactly undoes the forward
-    junction and so adds nothing; strictly between, the inverse transform
-    may round and the looser constant is charged.
+    K_beta applies in the default regime and again at beta = q + 2, where
+    the inverse transform exactly undoes the forward junction and so adds
+    nothing; strictly between, the inverse transform may round and the
+    looser B_beta is charged.
     """
+    return p.beta <= p.beta_default_max or p.beta == p.q + 2
+
+
+def applicable_bound_exact(p: CodecParams) -> Fraction:
+    """The proved round-trip constant for this configuration (see :func:`k_beta_applies`)."""
     inp = BoundInputs(d=p.d, k=p.k, q=p.q, beta=p.beta)
-    if p.beta <= p.beta_default_max or p.beta == p.q + 2:
+    if k_beta_applies(p):
         return k_beta_exact(inp, allow_out_of_regime=True)
     return b_beta_exact(inp)
 
