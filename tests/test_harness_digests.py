@@ -12,6 +12,8 @@ import hashlib
 from dataclasses import astuple
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfpkit.experiments import WorstCaseSpec, analyze_grid, sweep
 
@@ -89,3 +91,73 @@ def test_analyze_grid_rows_are_pinned():
 def test_sweep_cells_and_violators_are_pinned():
     assert sweep_digest() == SWEEP_DIGEST
 
+
+
+# ---------------------------------------------------------------------------
+# sweep equals a per-trial loop over measure
+
+
+def reference_sweep(spec: WorstCaseSpec):
+    """(cells, violators) from one ``measure`` call per trial, aggregated in trial order."""
+    from zfpkit.codec import CodecParams
+    from zfpkit.experiments import SweepCell, applicable_bound_exact, gen_worst_case_block, \
+        measure, trial_rng
+
+    cells, violators = [], []
+    for idx, rho, beta in spec.cells():
+        p = CodecParams(spec.d, spec.k, spec.q, beta, allow_wide_beta=spec.allow_wide_beta)
+        e_max = spec.e_min + rho
+        bound = applicable_bound_exact(p)
+        recs = []
+        for t in range(spec.trials):
+            block = gen_worst_case_block(spec.d, spec.e_min, e_max,
+                                         trial_rng(spec.seed, idx, t), spec.float32)
+            recs.append(measure(block, p, e_min=spec.e_min, e_max=e_max,
+                                seed=spec.seed, trial=t, bound=bound))
+        blk = [r.err_block for r in recs]
+        cmp = [r.err_comp for r in recs]
+        blk_sum = cmp_sum = 0.0
+        for b, c in zip(blk, cmp):
+            blk_sum += b
+            cmp_sum += c
+        cells.append(SweepCell(
+            d=spec.d, k=spec.k, q=spec.q, beta=beta, e_min=spec.e_min, e_max=e_max,
+            err_block_min=min(blk), err_block_max=max(blk), err_block_mean=blk_sum / spec.trials,
+            err_comp_min=min(cmp), err_comp_max=max(cmp), err_comp_mean=cmp_sum / spec.trials,
+            k_beta=float(bound), comp_bound=float(bound) * float(2 ** rho),
+            violations=sum(r.violation for r in recs)))
+        violators += [r for r in recs if r.violation]
+    return cells, violators
+
+
+def _outcome(fn, spec):
+    """Hex text of every cell and violator, or the type and message of the error raised."""
+    try:
+        cells, violators = fn(spec)
+    except Exception as e:  # noqa: BLE001 - the error itself is the outcome compared
+        return ("raised", type(e), str(e))
+    return [_text(astuple(item)) for item in cells + violators]
+
+
+@st.composite
+def sweep_specs(draw):
+    d = draw(st.sampled_from((1, 2, 3)))
+    name = draw(st.sampled_from(sorted(PAIRINGS)))
+    k, q = PAIRINGS[name]
+    e_min = draw(st.sampled_from((-1000, -120, 0, 500)))
+    float32 = name == "f32" or (e_min == -1000 and draw(st.booleans()))
+    top = q - 2 * d + 2
+    betas = tuple(draw(st.lists(st.sampled_from((0, 2, top, q + 2)), min_size=1, max_size=2,
+                                unique=True)))
+    rhos = tuple(draw(st.lists(st.sampled_from((0, 7, 14)), min_size=1, max_size=2,
+                               unique=True)))
+    trials = draw(st.integers(1, 12 if d < 3 else 4))
+    return WorstCaseSpec(d=d, k=k, q=q, betas=betas, rhos=rhos, e_min=e_min, trials=trials,
+                         seed=draw(st.integers(0, 2 ** 32 - 1)), float32=float32,
+                         allow_wide_beta=q + 2 in betas)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=sweep_specs())
+def test_sweep_equals_per_trial_measure(spec):
+    assert _outcome(lambda s: sweep(s, threads=1), spec) == _outcome(reference_sweep, spec)
