@@ -6,7 +6,10 @@ q <= MAX_Q, with each stage run as array operations over an
 ``(nblocks, 4**d)`` array.  It does arithmetic only: :mod:`.stream` writes
 and reads the container records, and the two modules exchange only block
 exponents and digit masks, a run of :func:`chunk_rows` blocks at a time,
-so memory stays bounded whatever the grid size.
+so memory stays bounded whatever the grid size.  The bound harness in
+:mod:`zfpkit.experiments` is the second client: a sweep round-trips each
+run of generated trials through :func:`block_exponents`, :func:`forward`
+and :func:`decode_blocks` without a container.
 
 * Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
   intermediate stays within 2**(q+1) - 2 and every line output within

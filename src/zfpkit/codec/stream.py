@@ -322,7 +322,7 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
     header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
                          beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
     out = bytearray(_pack_header(header))
-    from . import batch  # imported on first use: sweeps and the oracle never need it
+    from . import batch  # imported on first use: `import zfpkit` does not load it
 
     blocks = _block_array(grid)
     rows = batch.chunk_rows(params)

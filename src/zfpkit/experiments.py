@@ -6,10 +6,19 @@ integer arithmetic; a single violation anywhere is a failure.  All
 randomness flows through numpy's PCG64, and every trial derives its own
 stream from (seed, cell index, trial index), so sweeps are reproducible
 and parallel runs emit byte-identical tables.
+
+:func:`measure` is the specification of one trial.  Sweeps round-trip a
+run of trials at once through the batch stages of :mod:`.codec.batch`,
+and grid analysis reads its own container; both then compare blocks with
+one vectorised check, :func:`_clear_rows`, which clears a block only where
+float bounds rounded outward prove it within the bound, and reports the
+same floats as :func:`measure`.  Every block it cannot clear is measured
+exactly, one at a time.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +27,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bounds import BoundInputs, b_beta_exact, k_beta_exact
-from .codec import CodecParams, GridShapeError, compress, compress_block, decompress_block, partition
+from .codec import (
+    CodecParams,
+    GridShapeError,
+    NegabinaryRangeError,
+    TransformOverflowError,
+    compress,
+    compress_block,
+    decompress_block,
+)
+from .codec.blocks import _block_array
 
 
 @dataclass(frozen=True)
@@ -247,38 +265,175 @@ def measure(values: Sequence[float], p: CodecParams,
 
 
 # ---------------------------------------------------------------------------
+# batched exact measurement
+
+_SPAN = 330  # widest spread of operand exponents in a row the filter takes
+_NORMAL = (2.0 ** -1022, 2.0 ** 1022)  # nonzero operands outside go to the exact path
+_UP = 1.0 + 2.0 ** -50
+_DOWN = 1.0 - 2.0 ** -50
+_TINY = 2.0 ** -1000  # a product this small may have lost bits to underflow
+_CAP = 2.0 ** 900  # lowering a lower bound keeps it one
+
+
+def _float_below(r: Fraction) -> float:
+    """A float <= r: the largest one, or _CAP when r is larger."""
+    if r >= _CAP:
+        return _CAP
+    f = float(r)
+    return math.nextafter(f, 0.0) if Fraction(f) > r else f
+
+
+def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None):
+    """Which rows of (xs, ws) a float filter proves within ``bound``, and their errors.
+
+    Returns (clear, err_block, err_comp) per row.  Row r is clear only when
+    outward-rounded float bounds prove the comparisons of :func:`measure`:
+    max|w - x| <= bound * max|x| and, unless ``rho`` is None,
+    |w_i - x_i| <= bound * 2**rho * |x_i| for every x_i != 0.  Each row is
+    scaled by a power of two so that its operands lie in [2**-(_SPAN+1), 1),
+    and ``w - x = s + t`` exactly by TwoSum, so |w - x| <= |s| + ulp(s)/2
+    <= fl(|s| * _UP), while fl(fl(K * |x|) * _DOWN) <= K * |x| for a float
+    K below the bound.  For clear rows err_block and err_comp are the floats
+    :func:`measure` reports, from exact ints taken only at each row's
+    arg-max candidates; for the others they are 0.  A row that is all zero
+    in ``xs`` or not finite, has a nonzero operand outside the normal range
+    or spans more than _SPAN binades is never clear.
+    """
+    m = len(xs)
+    clear = np.zeros(m, dtype=bool)
+    err_block = np.zeros(m)
+    err_comp = np.zeros(m)
+    both = np.abs(np.concatenate([xs, ws], axis=1))
+    nonzero = both != 0.0
+    with np.errstate(invalid="ignore"):
+        fits = (~nonzero | ((both >= _NORMAL[0]) & (both < _NORMAL[1]))).all(axis=1)
+    fits &= nonzero[:, :xs.shape[1]].any(axis=1)
+    exps = np.frexp(both)[1]
+    top = np.where(nonzero, exps, -2000).max(axis=1)
+    fits &= top - np.where(nonzero, exps, 2000).min(axis=1) <= _SPAN
+    rows = np.flatnonzero(fits)
+    if not rows.size:
+        return clear, err_block, err_comp
+    x = np.ldexp(xs[rows], -top[rows, None])  # exact: no operand leaves the normal range
+    w = np.ldexp(ws[rows], -top[rows, None])
+    s = w - x  # TwoSum(w, -x)
+    x_virtual = s - w
+    w_virtual = s - x_virtual
+    t = (w - w_virtual) - (x + x_virtual)
+    abs_s = np.abs(s)
+    abs_x = np.abs(x)
+    max_s = abs_s.max(axis=1)
+    max_x = abs_x.max(axis=1)
+    lim = _float_below(bound) * max_x * _DOWN
+    ok = (max_s * _UP <= lim) & (lim >= _TINY)
+    if rho is not None:
+        lim = _float_below(bound * 2 ** rho) * abs_x * _DOWN
+        ok &= ((abs_x == 0.0) | ((abs_s * _UP <= lim) & (lim >= _TINY))).all(axis=1)
+    rows, x, w, s, t, abs_s, abs_x, max_s, max_x = (
+        v[ok] for v in (rows, x, w, s, t, abs_s, abs_x, max_s, max_x))
+    clear[rows] = True
+    # The reported floats.  |w_i - x_i| = |s_i| + sign(s_i) * t_i, so the
+    # exact arg-max has the largest signed t among the ties of |s|.  Every
+    # operand is a multiple of 2**-(_SPAN+54) below 1, so the exact ints of
+    # :func:`measure` stay below 400 bits and its _ratio is the correctly
+    # rounded quotient: where t = 0 that is the float quotient of |s| by |x|.
+    j_err = np.where(abs_s == max_s[:, None], np.sign(s) * t, -np.inf).argmax(axis=1)
+    blk = max_s / max_x
+    inexact = t[np.arange(len(t)), j_err] != 0.0
+    cmp = np.zeros(len(rows))
+    if rho is not None:
+        # fl(|s_i| / |x_i|) is within a factor 1 +- 2**-51 of the exact ratio,
+        # so the largest correctly rounded ratio is at a near-largest estimate
+        with np.errstate(divide="ignore", invalid="ignore"):
+            est = np.where(abs_x != 0.0, abs_s / abs_x, 0.0)
+        cmp = est.max(axis=1)
+        near = est >= (cmp * (1.0 - 2.0 ** -48))[:, None]
+        inexact |= (near & (t != 0.0)).any(axis=1)
+    for r in np.flatnonzero(inexact).tolist():
+        pick = [int(j_err[r]), int(abs_x[r].argmax())]
+        if rho is not None:
+            pick += np.flatnonzero(near[r]).tolist()
+        x_ints, w_ints = _exact_ints(x[r, pick].tolist(), w[r, pick].tolist())
+        blk[r] = _ratio(abs(w_ints[0] - x_ints[0]), abs(x_ints[1]))
+        cmp[r] = max([0.0] + [_ratio(abs(b - a), abs(a))
+                              for a, b in zip(x_ints[2:], w_ints[2:]) if a])
+    err_block[rows] = blk
+    err_comp[rows] = cmp
+    return clear, err_block, err_comp
+
+
+# ---------------------------------------------------------------------------
 # sweeps
 
 
+def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray | None:
+    """Decoded values of the rows of ``blocks`` through the batch stages.
+
+    Rows that are all zero or not finite come back as zeros, which
+    :func:`_clear_rows` never clears.  None when q > batch.MAX_Q or the
+    batch forward stage raises: then :func:`measure` takes every row of the
+    run, and the first failing trial raises its own error.
+    """
+    from .codec import batch
+
+    if p.q > batch.MAX_Q:
+        return None
+    blocks = np.where(np.isfinite(blocks).all(axis=1)[:, None], blocks, 0.0)
+    live, e_max = batch.block_exponents(blocks)
+    try:
+        digits = batch.forward(blocks, live, e_max, p)
+    except (TransformOverflowError, NegabinaryRangeError):
+        return None
+    out = np.zeros_like(blocks)
+    out[live] = batch.decode_blocks(e_max, digits, p)
+    return out
+
+
 def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
+    """One cell, a run of :func:`.codec.batch.chunk_rows` trials at a time.
+
+    Trials :func:`_clear_rows` cannot clear go to :func:`measure`, and only
+    those become ExperimentRecords.  Sums run in trial order, so the cell
+    equals a per-trial loop over :func:`measure` bit for bit.
+    """
+    from .codec import batch
+
     p = CodecParams(spec.d, spec.k, spec.q, beta, allow_wide_beta=spec.allow_wide_beta)
     e_max = spec.e_min + rho
     bound = applicable_bound_exact(p)
-    blk_min = cmp_min = float("inf")
-    blk_max = cmp_max = 0.0
-    blk_sum = cmp_sum = 0.0
-    violations = 0
+    errs: list[tuple[float, float]] = []
     violators: list[ExperimentRecord] = []
-    for t in range(spec.trials):
-        rng = trial_rng(spec.seed, cell_index, t)
-        block = gen_worst_case_block(spec.d, spec.e_min, e_max, rng, spec.float32)
-        rec = measure(block, p, e_min=spec.e_min, e_max=e_max,
-                      seed=spec.seed, trial=t, bound=bound)
-        blk_min = min(blk_min, rec.err_block)
-        blk_max = max(blk_max, rec.err_block)
-        blk_sum += rec.err_block
-        cmp_min = min(cmp_min, rec.err_comp)
-        cmp_max = max(cmp_max, rec.err_comp)
-        cmp_sum += rec.err_comp
-        if rec.violation:
-            violations += 1
-            violators.append(rec)
+    rows = batch.chunk_rows(p)
+    for first in range(0, spec.trials, rows):
+        trials = range(first, min(first + rows, spec.trials))
+        blocks = np.array([gen_worst_case_block(spec.d, spec.e_min, e_max,
+                                                trial_rng(spec.seed, cell_index, t), spec.float32)
+                           for t in trials])
+        out = _round_trip(blocks, p)
+        if out is None:
+            clear = np.zeros(len(blocks), dtype=bool)
+            err_block = err_comp = np.zeros(len(blocks))
+        else:
+            clear, err_block, err_comp = _clear_rows(blocks, out, bound, rho)
+        run = list(zip(err_block.tolist(), err_comp.tolist()))
+        for r in np.flatnonzero(~clear).tolist():
+            rec = measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
+                          seed=spec.seed, trial=first + r, bound=bound)
+            run[r] = (rec.err_block, rec.err_comp)
+            if rec.violation:
+                violators.append(rec)
+        errs += run
+    blk_sum = cmp_sum = 0.0
+    for b, c in errs:
+        blk_sum += b
+        cmp_sum += c
+    blk, cmp = zip(*errs)
     cell = SweepCell(
         d=spec.d, k=spec.k, q=spec.q, beta=beta, e_min=spec.e_min, e_max=e_max,
-        err_block_min=blk_min, err_block_max=blk_max, err_block_mean=blk_sum / spec.trials,
-        err_comp_min=cmp_min, err_comp_max=cmp_max, err_comp_mean=cmp_sum / spec.trials,
+        err_block_min=min(blk), err_block_max=max(blk), err_block_mean=blk_sum / spec.trials,
+        err_comp_min=min(cmp), err_comp_max=max(cmp), err_comp_mean=cmp_sum / spec.trials,
         k_beta=float(bound), comp_bound=float(bound) * float(2 ** rho),
-        violations=violations,
+        violations=len(violators),
     )
     return cell, violators
 
@@ -322,16 +477,18 @@ def sweep(spec: WorstCaseSpec, threads: int | None = None):
 
 
 SWEEP_CSV_HEADER = ("d,k,q,beta,emin,emax,err_block_min,err_block_max,"
-                    "err_comp_min,err_comp_max,K_beta,comp_bound,violations")
+                    "err_comp_min,err_comp_max,K_beta,comp_bound,violations,slack")
 
 
 def write_sweep_csv(cells: Iterable[SweepCell], fh) -> None:
+    """One row per cell; ``slack`` is err_block_max / K_beta, how close the cell came to the bound."""
     fh.write(SWEEP_CSV_HEADER + "\n")
     for c in cells:
         fh.write(f"{c.d},{c.k},{c.q},{c.beta},{c.e_min},{c.e_max},"
                  f"{c.err_block_min:.10g},{c.err_block_max:.10g},"
                  f"{c.err_comp_min:.10g},{c.err_comp_max:.10g},"
-                 f"{c.k_beta:.10g},{c.comp_bound:.10g},{c.violations}\n")
+                 f"{c.k_beta:.10g},{c.comp_bound:.10g},{c.violations},"
+                 f"{c.err_block_max / c.k_beta:.10g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -370,35 +527,41 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
 
     Each nonzero block of ``partition(grid)`` is compared with the block
     that beta's container decodes to (DecodeError if one leaves the float64
-    range).  The bound column carries the constant that applies to each
-    beta (the loose one in the wide regime).  Violations are counted with
-    exact arithmetic and should always be zero.
+    range), a run of :func:`.codec.batch.chunk_rows` blocks at a time.  The
+    bound column carries the constant that applies to each beta (the loose
+    one in the wide regime).  Violations are counted with exact arithmetic
+    and should always be zero: blocks that :func:`_clear_rows` cannot clear
+    are compared in exact ints one at a time.
     """
+    from .codec import batch
     from .codec.stream import _decode
 
     grid = np.asarray(grid, dtype=np.float64)
-    blocks = partition(grid)
+    blocks = _block_array(grid)
+    live = blocks.any(axis=1)
+    xs = blocks[live]
     raw_bytes = grid.size * scalar_bytes
     rows = []
     for beta in betas:
         p = CodecParams(grid.ndim, k, q, beta, allow_wide_beta=allow_wide_beta)
         payload = compress(grid, p, b_e=b_e)
-        _, decoded = _decode(payload)
+        ws = _decode(payload)[1][live]
         bound = applicable_bound_exact(p)
         num, den = bound.numerator, bound.denominator
         worst = 0.0
         violations = 0
-        for blk, out in zip(blocks, decoded.tolist()):
-            if not any(blk):
-                continue
-            x_ints, w_ints = _exact_ints(blk, out)
-            max_err = max(abs(w - x) for w, x in zip(w_ints, x_ints))
-            max_x = max(map(abs, x_ints))
-            if max_err * den > num * max_x:
-                violations += 1
-            r = _ratio(max_err, max_x)
-            if r > worst:
-                worst = r
+        step = batch.chunk_rows(p)
+        for first in range(0, len(xs), step):
+            x, w = xs[first:first + step], ws[first:first + step]
+            clear, err_block, _ = _clear_rows(x, w, bound, None)
+            worst = max(worst, float(err_block.max()))
+            for r in np.flatnonzero(~clear).tolist():
+                x_ints, w_ints = _exact_ints(x[r].tolist(), w[r].tolist())
+                max_err = max(abs(b - a) for a, b in zip(x_ints, w_ints))
+                max_x = max(map(abs, x_ints))
+                if max_err * den > num * max_x:
+                    violations += 1
+                worst = max(worst, _ratio(max_err, max_x))
         rows.append(GridAnalysisRow(beta=beta, max_block_err=worst,
                                     k_beta=float(bound),
                                     ratio=raw_bytes / len(payload),

@@ -250,3 +250,136 @@ class TestAnalyzeGridReadsItsContainer:
         with pytest.raises(DecodeError, match="float64 range") as info:
             analyze_grid(grid, 53, 62, (4,))
         assert info.value.block == first
+
+
+class TestClearRows:
+    """The vectorised filter shared by sweeps and grid analysis.
+
+    A row it clears must satisfy the bound in exact arithmetic and report
+    :func:`measure`'s floats; every other row goes to the exact path.
+    """
+
+    P = CodecParams(d=1, k=13, q=9, beta=7)  # K_beta = 33-bit numerator / 2**35
+
+    @staticmethod
+    def exact(x, w, bound, rho):
+        """(block violation, componentwise violation) in Fractions."""
+        from fractions import Fraction
+
+        err = [abs(Fraction(b) - Fraction(a)) for a, b in zip(x, w)]
+        top = max(abs(Fraction(a)) for a in x)
+        comp = rho is not None and any(e > bound * 2 ** rho * abs(Fraction(a))
+                                       for e, a in zip(err, x) if a)
+        return max(err) > bound * top, comp
+
+    def bound(self):
+        from zfpkit.experiments import applicable_bound_exact
+
+        bound = applicable_bound_exact(self.P)
+        den = bound.denominator
+        assert den & (den - 1) == 0 and bound.numerator < 2 ** 52
+        return bound
+
+    def check(self, xs, ws, bound, rho):
+        from zfpkit.experiments import _clear_rows
+
+        xs, ws = np.array(xs, dtype=float), np.array(ws, dtype=float)
+        clear, _, _ = _clear_rows(xs, ws, bound, rho)
+        verdicts = [self.exact(x, w, bound, rho) for x, w in zip(xs.tolist(), ws.tolist())]
+        for c, v in zip(clear, verdicts):
+            assert not (c and any(v))
+        return clear.tolist(), verdicts
+
+    def test_error_equal_to_the_bound_is_not_a_violation(self):
+        bound = self.bound()
+        top = float(bound.denominator)  # K_beta * top is the integer numerator
+        x = [top, 3.0, -5.0, 1.0]
+        for j in (1, 2, 3):
+            w = list(x)
+            w[j] += bound.numerator if x[j] > 0 else -bound.numerator
+            clear, verdicts = self.check([x], [w], bound, None)
+            assert verdicts == [(False, False)]
+            assert clear == [False]  # equality is left to the exact path
+
+    def test_one_unit_above_the_block_bound_is_a_violation(self):
+        bound = self.bound()
+        top = float(bound.denominator)
+        x = [top, 3.0, -5.0, 1.0]
+        w = [top, 3.0 + bound.numerator + 1, -5.0, 1.0]
+        clear, verdicts = self.check([x, x], [w, x], bound, None)
+        assert verdicts == [(True, False), (False, False)]
+        assert clear == [False, True]
+
+    def test_one_unit_above_the_componentwise_bound_is_a_violation(self):
+        bound = self.bound()
+        small = float(bound.denominator)  # K_beta * 2**rho * small is an integer
+        big = small * 2 ** 10
+        for rho in (0, 3):
+            x = [big, small, -small, 2 * small]
+            at = x[:1] + [small + bound.numerator * 2 ** rho] + x[2:]
+            above = x[:1] + [small + bound.numerator * 2 ** rho + 1] + x[2:]
+            clear, verdicts = self.check([x, x, x], [x, at, above], bound, rho)
+            assert verdicts == [(False, False), (False, False), (False, True)]
+            assert clear[0] and not clear[2]
+
+    def test_rows_outside_the_normal_range_go_to_the_exact_path(self):
+        from zfpkit.experiments import _clear_rows
+
+        bound = self.bound()
+        tiny, huge, inf, nan = 5e-324, 1.7e308, float("inf"), float("nan")
+        xs = [[1.0, tiny, 2.0, 3.0], [huge, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0],
+              [1.0, 2.0, 3.0, 4.0], [nan, 1.0, 2.0, 3.0], [0.0, 0.0, 0.0, 0.0],
+              [1.0, 2.0 ** -400, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]]
+        ws = [list(x) for x in xs]
+        ws[2][0] = inf
+        ws[3][1] = 2.2e-308  # a subnormal decoded value
+        clear, _, _ = _clear_rows(np.array(xs), np.array(ws), bound, 0)
+        assert clear.tolist() == [False] * 7 + [True]
+
+    @pytest.mark.parametrize("d, k, q, scale", [(1, 53, 62, 1.0), (2, 24, 30, 1e-300),
+                                                (3, 53, 62, 1e300), (2, 13, 9, 1.0)])
+    def test_reported_floats_equal_measure(self, d, k, q, scale):
+        from zfpkit.codec import compress_block, decompress_block
+        from zfpkit.experiments import _clear_rows, applicable_bound_exact
+
+        rng = np.random.default_rng(d * q)
+        for beta in (0, 2, q - 2 * d + 2, q + 2):
+            p = CodecParams(d, k, q, beta, allow_wide_beta=True)
+            bound = applicable_bound_exact(p)
+            xs = rng.uniform(-1.0, 1.0, (40, p.n)) * np.exp2(rng.integers(-20, 20, (40, p.n)))
+            xs *= scale
+            ws = np.array([decompress_block(compress_block(x, p), p)[1] for x in xs.tolist()])
+            recs = [measure(x, p, bound=bound) for x in xs.tolist()]
+            for rho in ({r.e_max - r.e_min for r in recs}):
+                clear, err_block, err_comp = _clear_rows(xs, ws, bound, rho)
+                assert clear.sum() >= 30
+                for c, b, e, r in zip(clear, err_block.tolist(), err_comp.tolist(), recs):
+                    if c:
+                        assert not r.violation
+                        assert b.hex() == r.err_block.hex()
+                        assert (r.e_max - r.e_min != rho) or e.hex() == r.err_comp.hex()
+
+
+def test_sweep_csv_slack_column_is_block_error_over_k_beta():
+    spec = WorstCaseSpec(d=2, k=24, q=30, betas=(6, 18), rhos=(7, 14), trials=25, seed=12,
+                         float32=True)
+    cells, _ = sweep(spec, threads=1)
+    buf = io.StringIO()
+    write_sweep_csv(cells, buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0].split(",")[-1] == "slack"
+    for cell, line in zip(cells, lines[1:]):
+        slack = line.split(",")[-1]
+        assert slack == f"{cell.err_block_max / cell.k_beta:.10g}"
+        assert 0.0 < float(slack) <= 1.0
+
+
+def test_import_loads_no_batch_module():
+    # sweeps and grid analysis import the batch stages on first use
+    import zfpkit
+    src = str(Path(zfpkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, zfpkit; print('zfpkit.codec.batch' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
