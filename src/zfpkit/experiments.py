@@ -305,8 +305,7 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
     err_comp = np.zeros(m)
     both = np.abs(np.concatenate([xs, ws], axis=1))
     nonzero = both != 0.0
-    with np.errstate(invalid="ignore"):
-        fits = (~nonzero | ((both >= _NORMAL[0]) & (both < _NORMAL[1]))).all(axis=1)
+    fits = (~nonzero | ((both >= _NORMAL[0]) & (both < _NORMAL[1]))).all(axis=1)
     fits &= nonzero[:, :xs.shape[1]].any(axis=1)
     exps = np.frexp(both)[1]
     top = np.where(nonzero, exps, -2000).max(axis=1)
