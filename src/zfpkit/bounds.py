@@ -98,6 +98,17 @@ def k_beta(inp: BoundInputs, allow_out_of_regime: bool = False) -> float:
     return float(k_beta_exact(inp, allow_out_of_regime))
 
 
+def k_beta_applies(d: int, q: int, beta: int) -> bool:
+    """True when the tight constant K_beta bounds the round trip, else B_beta.
+
+    K_beta applies in the default regime beta <= q - 2d + 2 and again at
+    beta = q + 2, where the inverse transform exactly undoes the forward
+    junction and so adds nothing; strictly between, the inverse transform
+    may round and the looser B_beta is charged.
+    """
+    return not q - 2 * d + 2 < beta < q + 2
+
+
 def b_beta_exact(inp: BoundInputs) -> Fraction:
     """Round-trip error constant when fewer than 2d planes are dropped.
 

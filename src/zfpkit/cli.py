@@ -75,18 +75,17 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p != "")
 
 
-def _build_params(args, d: int) -> CodecParams:
+def _precision(args) -> tuple[int, int]:
+    """(k, q): --k and --q where given, else the pairing of --scalar."""
     k_default, q_default = _SCALAR_DEFAULTS[args.scalar]
-    k = args.k if args.k is not None else k_default
-    q = args.q if args.q is not None else q_default
+    return (args.k if args.k is not None else k_default,
+            args.q if args.q is not None else q_default)
+
+
+def _build_params(args, d: int) -> CodecParams:
+    k, q = _precision(args)
     beta = args.beta if args.beta is not None else max(q - 2 * d + 2, 0)
     return CodecParams(d, k, q, beta, allow_wide_beta=args.allow_appendix_b)
-
-
-def _bound_label(p: CodecParams) -> tuple[str, float]:
-    value = X.applicable_bound_exact(p)
-    name = "K_beta" if X.k_beta_applies(p) else "B_beta"
-    return name, float(value)
 
 
 def cmd_compress(args) -> int:
@@ -100,9 +99,9 @@ def cmd_compress(args) -> int:
     out = args.out or args.input + ".zfpk"
     _atomic_write(out, payload)
     raw = grid.size * _SCALAR_BYTES[args.scalar]
-    name, value = _bound_label(params)
+    name = "K_beta" if B.k_beta_applies(params.d, params.q, params.beta) else "B_beta"
     print(f"wrote {out}: {len(payload)} bytes, ratio {raw / len(payload):.4g}, "
-          f"{name} = {value:.6g}")
+          f"{name} = {float(X.applicable_bound_exact(params)):.6g}")
     return 0
 
 
@@ -136,7 +135,7 @@ def cmd_bounds(args) -> int:
     kb = B.k_beta(inp, allow_out_of_regime=True)
     regime = "" if args.beta <= tight_max else f"  (outside beta <= {tight_max})"
     print(f"K_beta      = {kb:.10g}{regime}")
-    if tight_max < args.beta < args.q + 2:
+    if not B.k_beta_applies(args.d, args.q, args.beta):
         print(f"B_beta      = {B.b_beta(inp):.10g}")
     if args.e_max is not None and args.e_min is not None:
         cw = B.componentwise_bound(inp, allow_out_of_regime=True)
@@ -155,14 +154,12 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    k, q = _precision(args)
     if args.grid:
         if not args.dims:
             raise GridShapeError("--grid needs --dims")
         dims = _parse_dims(args.dims)
         grid = X.load_raw_grid(args.grid, dims, args.scalar)
-        k_default, q_default = _SCALAR_DEFAULTS[args.scalar]
-        k = args.k if args.k is not None else k_default
-        q = args.q if args.q is not None else q_default
         betas = _parse_int_list(args.beta_range) if args.beta_range else (
             tuple(sorted({2, 4, 8, 16, q - 2 * len(dims) + 2})))
         rows = X.analyze_grid(grid, k, q, betas, _SCALAR_BYTES[args.scalar],
@@ -176,9 +173,6 @@ def cmd_experiment(args) -> int:
             return 1
         return 0
     d = args.d if args.d is not None else 1
-    k_default, q_default = _SCALAR_DEFAULTS[args.scalar]
-    k = args.k if args.k is not None else k_default
-    q = args.q if args.q is not None else q_default
     tight_max = q - 2 * d + 2
     betas = _parse_int_list(args.beta_range) if args.beta_range else (
         tuple(sorted({b for b in (8, 16, 32, 48) if b <= tight_max} | {max(tight_max, 1)})))

@@ -1,8 +1,9 @@
 """Block compressor: partitioning, lossy pipeline, container format.
 
-The integer pipeline in :mod:`.pipeline` is the production path; the
-bit-vector twin in :mod:`.reference` recomputes every stage with the exact
-digit-string model so the two can be compared bit for bit.
+The scalar stages in :mod:`.pipeline` are the specification; ``compress``
+and ``decompress`` get the same results from :mod:`.batch` for every q.
+The bit-vector twin in :mod:`.reference` recomputes every stage with the
+exact digit-string model so it can be compared with :mod:`.pipeline` bit for bit.
 """
 
 from .blocks import GridShapeError, block_count, partition, unpartition
@@ -16,7 +17,6 @@ from .pipeline import (
     BlockFP,
     NegaBlock,
     PipelineTrace,
-    bit_planes,
     bitplane_truncate,
     block_fp_forward,
     block_fp_inverse,
@@ -42,6 +42,7 @@ from .stream import (
     CompressedBlock,
     ContainerError,
     DecodeError,
+    bit_planes,
     compress,
     decode_planes,
     decompress,

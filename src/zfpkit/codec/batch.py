@@ -2,14 +2,16 @@
 
 The scalar stage functions in :mod:`.pipeline` remain the specification.
 This module computes the same digit masks and the same decoded values for
-q <= MAX_Q, with each stage run as array operations over an
-``(nblocks, 4**d)`` array.  It does arithmetic only: :mod:`.stream` writes
-and reads the container records, and the two modules exchange only block
-exponents and digit masks, a run of :func:`chunk_rows` blocks at a time,
-so memory stays bounded whatever the grid size.  The bound harness in
-:mod:`zfpkit.experiments` is the second client: a sweep round-trips each
-run of generated trials through :func:`block_exponents`, :func:`forward`
-and :func:`decode_blocks` without a container.
+every q, and alone picks the path: above MAX_Q each block runs the scalar
+stages on Python-int masks, and up to MAX_Q each stage runs as array
+operations over an ``(nblocks, 4**d)`` array of uint64 masks.  It does
+arithmetic only: :mod:`.stream` writes and reads the container records,
+and the two modules exchange only block exponents and digit masks, a run
+of :func:`chunk_rows` blocks at a time, so memory stays bounded whatever
+the grid size.  The bound harness in :mod:`zfpkit.experiments` is the
+second client: a sweep round-trips each run of generated trials through
+:func:`block_exponents`, :func:`forward` and :func:`decode_blocks`
+without a container.
 
 * Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
   intermediate stays within 2**(q+1) - 2 and every line output within
@@ -32,7 +34,8 @@ from functools import lru_cache
 import numpy as np
 
 from .params import CodecParams, NegabinaryRangeError, TransformOverflowError
-from .pipeline import _ENVELOPE_MSG, SEQUENCY_TABLES, NegaBlock, _inverse_table, decompress_block
+from .pipeline import (_ENVELOPE_MSG, SEQUENCY_TABLES, NegaBlock, _inverse_table, compress_block,
+                       decompress_block)
 
 MAX_Q = 62  # forward lifting intermediates stay below 2**(q+1) - 1 <= 2**63 - 1
 
@@ -46,6 +49,11 @@ def _perm(d: int, inverse: bool) -> np.ndarray:
     table = np.array(_inverse_table(d) if inverse else SEQUENCY_TABLES[d], dtype=np.intp)
     table.flags.writeable = False
     return table
+
+
+def _digit_type(p: CodecParams) -> type:
+    """Digit masks are uint64 while the q + 2 digit positions fit 64 bits, Python ints above."""
+    return np.uint64 if p.q <= MAX_Q else object
 
 
 def chunk_rows(p: CodecParams) -> int:
@@ -163,11 +171,14 @@ def block_exponents(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def forward(blocks: np.ndarray, live: np.ndarray, e_max: np.ndarray,
             p: CodecParams) -> np.ndarray:
-    """Truncated digit masks (uint64) of the live rows of ``blocks``.
+    """Truncated digit masks of the live rows of ``blocks`` (see :func:`_digit_type`).
 
     ``live`` and ``e_max`` are from :func:`block_exponents`.  Raises
     TransformOverflowError or NegabinaryRangeError like the scalar stages.
     """
+    if p.q > MAX_Q:
+        masks = [compress_block(values, p).digits for values in blocks[live].tolist()]
+        return np.array(masks, dtype=object).reshape(-1, p.n)
     # |value| * 2**-ell < 2**q; the int64 cast truncates toward zero like int()
     ints = np.ldexp(blocks[live], (p.q - 1 - e_max)[:, None]).astype(np.int64)
     _lift_forward(ints, p)
@@ -205,15 +216,19 @@ def scalar_values(digits, e_max: int, p: CodecParams) -> tuple[float, ...]:
 
 
 def decode_blocks(e_max: np.ndarray, digits: np.ndarray, p: CodecParams) -> np.ndarray:
-    """Decoded values of every block (q <= MAX_Q) as an (nblocks, 4**d) array.
+    """Decoded values of every block as an (nblocks, 4**d) array.
 
-    ``digits`` holds each block's truncated digit masks as uint64.  A block
-    without a digit decodes to zeros.  Values beyond the float64 range come
-    back as inf.
+    ``digits`` holds each block's truncated digit masks (see
+    :func:`_digit_type`).  A block without a digit decodes to zeros.
+    Values beyond the float64 range come back as inf.
     """
     n, q = p.n, p.q
     values = np.zeros((len(digits), n))
     live = np.flatnonzero(digits.any(axis=1))
+    if q > MAX_Q:
+        for r in live.tolist():
+            values[r] = scalar_values(digits[r].tolist(), int(e_max[r]), p)
+        return values
     if not live.size:
         return values
     digits = digits[live]

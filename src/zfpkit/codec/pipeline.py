@@ -339,18 +339,6 @@ def bitplane_truncate(nb: NegaBlock, p: CodecParams) -> NegaBlock:
     return NegaBlock(tuple(u & keep for u in nb.digits), nb.e_max)
 
 
-def bit_planes(nb: NegaBlock, p: CodecParams) -> list[tuple[int, ...]]:
-    """Rows of coefficient bits, most significant digit position first.
-
-    Plane 0 holds digit position q+1 of every coefficient; the kept payload
-    is the first beta rows.
-    """
-    planes = []
-    for pos in range(p.q + 1, -1, -1):
-        planes.append(tuple((u >> pos) & 1 for u in nb.digits))
-    return planes
-
-
 # ---------------------------------------------------------------------------
 # whole-block helpers
 

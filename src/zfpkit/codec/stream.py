@@ -27,16 +27,13 @@ container invalid.
 
 ``compress`` checks every block exponent against the b_e-bit field before
 any coding.  Block exponents and digit masks are the only hand-off between
-the records and the block arithmetic: :mod:`.batch` computes the masks of
-a run of blocks at once for q <= 62, the scalar
-:func:`.pipeline.compress_block` for larger q, and :func:`_write_records`
-writes the records of the run with one ``np.packbits`` either way.  The
-reader walks the test bits of each record in one pass, then turns the
-coded planes of all blocks into their digit masks with array operations
-(:func:`_gather_digits`).  Rows of digit masks are uint64 while the q + 2
-digit positions fit 64 bits and Python ints above.  A block whose
-reconstruction is not a finite float64 makes ``decompress`` raise
-:class:`DecodeError` naming the first such block.
+the records and the block arithmetic, which :mod:`.batch` does for every q:
+:func:`_write_records` writes the masks of a run of blocks with one
+``np.packbits``, and the reader walks the test bits of each record in one
+pass, then turns the coded planes of all blocks into their digit masks with
+array operations (:func:`_gather_digits`).  A block whose reconstruction is
+not a finite float64 makes ``decompress`` raise :class:`DecodeError`
+naming the first such block.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .blocks import GridShapeError, _block_array, block_count, unpartition
 from .params import CodecParams, ParamError
-from .pipeline import NegaBlock, compress_block
+from .pipeline import NegaBlock
 
 MAGIC = b"ZFPK"
 VERSION = 1
@@ -162,6 +159,18 @@ class CompressedBlock:
             raise ValueError("all-zero block must carry no payload")
 
 
+def bit_planes(nb: NegaBlock, p: CodecParams) -> list[tuple[int, ...]]:
+    """Rows of coefficient bits, most significant digit position first.
+
+    Plane 0 holds digit position q+1 of every coefficient; the kept payload
+    is the first beta rows.
+    """
+    planes = []
+    for pos in range(p.q + 1, -1, -1):
+        planes.append(tuple((u >> pos) & 1 for u in nb.digits))
+    return planes
+
+
 def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
     """Coded planes of a nonzero block as one MSB-first int; returns (value, nbits)."""
     # one test bit per plane; nonzero planes follow raw in coefficient order
@@ -210,11 +219,6 @@ def _walk_planes(bits, at: int, limit: int, p: CodecParams,
     return at
 
 
-def _digit_type(p: CodecParams) -> type:
-    """Digit masks are uint64 while the q + 2 digit positions fit 64 bits, Python ints above."""
-    return np.uint64 if p.q + 2 <= 64 else object
-
-
 def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
     """Positions (beta, records) of the plane test bits of records starting at ``pos``.
 
@@ -233,8 +237,10 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.nd
     """Digit masks of the records whose first plane test bit is at ``pos`` in ``stream``.
 
     Plane j of a record is digit position q + 1 - j.  Returns one row of n
-    masks per record (see :func:`_digit_type`).
+    masks per record (see :func:`.batch._digit_type`).
     """
+    from .batch import _digit_type
+
     at = _plane_starts(stream, pos, p)
     # (beta, records, 1 + n): each plane's test bit and the n bits after it, read
     # through a read-only view whose row i is stream[i:i + 1 + n]
@@ -275,7 +281,7 @@ def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
                    p: CodecParams, b_e: int) -> bytes:
     """Records of consecutive blocks; ``digits``, ``stored`` have a row per ``live`` block.
 
-    ``digits`` rows are digit masks as uint64 or Python ints (see :func:`_digit_type`).
+    ``digits`` rows are digit masks as uint64 or Python ints (see :func:`.batch._digit_type`).
     """
     n, beta = p.n, p.beta
     if digits.dtype == object:
@@ -338,13 +344,7 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
                              f"{b_e}-bit biased field; raise b_e")
         runs.append((run, live, e_max, stored))
     for run, live, e_max, stored in runs:
-        if params.q <= batch.MAX_Q:
-            digits = batch.forward(run, live, e_max, params)
-        else:
-            digits = np.zeros((len(stored), params.n), dtype=_digit_type(params))
-            for r, values in enumerate(run[live].tolist()):
-                digits[r] = compress_block(values, params).digits
-        out += _write_records(digits, live, stored, params, b_e)
+        out += _write_records(batch.forward(run, live, e_max, params), live, stored, params, b_e)
     return bytes(out)
 
 
@@ -384,9 +384,10 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
         end = _walk_planes(bits, at + prologue, limit, params, first + r)
         at += (end - at + 7) & -8
     # the same walk over all records of the run at once, now that their starts are known
-    digits = np.zeros((count, params.n), dtype=_digit_type(params))
     live = np.flatnonzero(planes_at)
-    digits[live] = _gather_digits(np.asarray(bits), planes_at[live], params)
+    masks = _gather_digits(np.asarray(bits), planes_at[live], params)
+    digits = np.zeros((count, params.n), dtype=masks.dtype)
+    digits[live] = masks
     return e_max, digits, at // 8
 
 
@@ -414,11 +415,7 @@ def _decode(data: bytes) -> tuple[ArrayHeader, np.ndarray]:
 
     runs = []
     for e_max, digits in _read_records(data, offset, header, params, batch.chunk_rows(params)):
-        if params.q <= batch.MAX_Q:
-            values = batch.decode_blocks(e_max, digits, params)
-        else:
-            values = np.array([batch.scalar_values(row, int(e), params)
-                               for e, row in zip(e_max, digits.tolist())])
+        values = batch.decode_blocks(e_max, digits, params)
         finite = np.isfinite(values).all(axis=1)
         if not finite.all():
             raise DecodeError("reconstructed value exceeds the float64 range",

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import BoundInputs, b_beta_exact, k_beta_exact
+from .bounds import BoundInputs, b_beta_exact, k_beta_applies, k_beta_exact
 from .codec import (
     CodecParams,
     GridShapeError,
@@ -180,21 +180,10 @@ def _ratio(a: int, b: int) -> float:
     return a / b
 
 
-def k_beta_applies(p: CodecParams) -> bool:
-    """True when the tight constant K_beta bounds the round trip, else B_beta.
-
-    K_beta applies in the default regime and again at beta = q + 2, where
-    the inverse transform exactly undoes the forward junction and so adds
-    nothing; strictly between, the inverse transform may round and the
-    looser B_beta is charged.
-    """
-    return p.beta <= p.beta_default_max or p.beta == p.q + 2
-
-
 def applicable_bound_exact(p: CodecParams) -> Fraction:
-    """The proved round-trip constant for this configuration (see :func:`k_beta_applies`)."""
+    """The proved round-trip constant: K_beta where :func:`.bounds.k_beta_applies`, else B_beta."""
     inp = BoundInputs(d=p.d, k=p.k, q=p.q, beta=p.beta)
-    if k_beta_applies(p):
+    if k_beta_applies(p.d, p.q, p.beta):
         return k_beta_exact(inp, allow_out_of_regime=True)
     return b_beta_exact(inp)
 
@@ -217,6 +206,34 @@ def derive_exponents(values: Sequence[float]) -> tuple[int, int]:
     return e_min, e_max
 
 
+def _exact_errors(xs: Sequence[float], ws: Sequence[float], bound: Fraction,
+                  rho: int | None) -> tuple[float, float, bool]:
+    """(err_block, err_comp, violation) of a nonzero block ``xs`` decoded to ``ws``.
+
+    Exact comparisons against ``bound``, and against bound * 2**rho per
+    component unless ``rho`` is None (then err_comp is 0).
+    """
+    x_ints, w_ints = _exact_ints(xs, ws)
+    errs = [abs(w - x) for w, x in zip(w_ints, x_ints)]
+    max_x = max(map(abs, x_ints))
+    max_err = max(errs)
+    num, den = bound.numerator, bound.denominator
+    violation = max_err * den > num * max_x
+    err_comp = 0.0
+    if rho is not None:
+        comp_scale = num << rho
+        for e, x in zip(errs, x_ints):
+            if x == 0:
+                continue
+            ax = abs(x)
+            if e * den > comp_scale * ax:
+                violation = True
+            r = _ratio(e, ax)
+            if r > err_comp:
+                err_comp = r
+    return _ratio(max_err, max_x), err_comp, violation
+
+
 def measure(values: Sequence[float], p: CodecParams,
             e_min: int | None = None, e_max: int | None = None,
             seed: int = 0, trial: int = 0,
@@ -235,32 +252,16 @@ def measure(values: Sequence[float], p: CodecParams,
     rho = e_max - e_min
     if bound is None:
         bound = applicable_bound_exact(p)
-    x_ints, w_ints = _exact_ints(values, decompress_block(compress_block(values, p), p)[1])
-    errs = [abs(w - x) for w, x in zip(w_ints, x_ints)]
-    max_x = max(map(abs, x_ints))
-    max_err = max(errs)
-    num, den = bound.numerator, bound.denominator
-    block_violation = max_err * den > num * max_x
-    comp_scale = num << rho
-    err_comp = 0.0
-    comp_violation = False
-    for e, x in zip(errs, x_ints):
-        if x == 0:
-            continue
-        ax = abs(x)
-        if e * den > comp_scale * ax:
-            comp_violation = True
-        r = _ratio(e, ax)
-        if r > err_comp:
-            err_comp = r
+    err_block, err_comp, violation = _exact_errors(
+        values, decompress_block(compress_block(values, p), p)[1], bound, rho)
     return ExperimentRecord(
         d=p.d, k=p.k, q=p.q, beta=p.beta, e_min=e_min, e_max=e_max,
         seed=seed, trial=trial,
-        err_block=_ratio(max_err, max_x),
+        err_block=err_block,
         err_comp=err_comp,
         k_beta=float(bound),
         comp_bound=float(bound) * float(2 ** rho),
-        violation=block_violation or comp_violation,
+        violation=violation,
     )
 
 
@@ -365,24 +366,23 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
 # sweeps
 
 
-def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray | None:
-    """Decoded values of the rows of ``blocks`` through the batch stages.
+def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
+    """Decoded values of the rows of ``blocks`` through the batch stages, for every q.
 
     Rows that are all zero or not finite come back as zeros, which
-    :func:`_clear_rows` never clears.  None when q > batch.MAX_Q or the
-    batch forward stage raises: then :func:`measure` takes every row of the
-    run, and the first failing trial raises its own error.
+    :func:`_clear_rows` never clears.  Every row is NaN, so that none is
+    cleared, when the batch forward stage raises: then :func:`measure`
+    takes every row of the run, and the first failing trial raises its own
+    error.
     """
     from .codec import batch
 
-    if p.q > batch.MAX_Q:
-        return None
     blocks = np.where(np.isfinite(blocks).all(axis=1)[:, None], blocks, 0.0)
     live, e_max = batch.block_exponents(blocks)
     try:
         digits = batch.forward(blocks, live, e_max, p)
     except (TransformOverflowError, NegabinaryRangeError):
-        return None
+        return np.full_like(blocks, np.nan)
     out = np.zeros_like(blocks)
     out[live] = batch.decode_blocks(e_max, digits, p)
     return out
@@ -408,12 +408,7 @@ def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
         blocks = np.array([gen_worst_case_block(spec.d, spec.e_min, e_max,
                                                 trial_rng(spec.seed, cell_index, t), spec.float32)
                            for t in trials])
-        out = _round_trip(blocks, p)
-        if out is None:
-            clear = np.zeros(len(blocks), dtype=bool)
-            err_block = err_comp = np.zeros(len(blocks))
-        else:
-            clear, err_block, err_comp = _clear_rows(blocks, out, bound, rho)
+        clear, err_block, err_comp = _clear_rows(blocks, _round_trip(blocks, p), bound, rho)
         run = list(zip(err_block.tolist(), err_comp.tolist()))
         for r in np.flatnonzero(~clear).tolist():
             rec = measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
@@ -546,7 +541,6 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
         payload = compress(grid, p, b_e=b_e)
         ws = _decode(payload)[1][live]
         bound = applicable_bound_exact(p)
-        num, den = bound.numerator, bound.denominator
         worst = 0.0
         violations = 0
         step = batch.chunk_rows(p)
@@ -555,12 +549,9 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
             clear, err_block, _ = _clear_rows(x, w, bound, None)
             worst = max(worst, float(err_block.max()))
             for r in np.flatnonzero(~clear).tolist():
-                x_ints, w_ints = _exact_ints(x[r].tolist(), w[r].tolist())
-                max_err = max(abs(b - a) for a, b in zip(x_ints, w_ints))
-                max_x = max(map(abs, x_ints))
-                if max_err * den > num * max_x:
-                    violations += 1
-                worst = max(worst, _ratio(max_err, max_x))
+                err, _, violation = _exact_errors(x[r].tolist(), w[r].tolist(), bound, None)
+                violations += violation
+                worst = max(worst, err)
         rows.append(GridAnalysisRow(beta=beta, max_block_err=worst,
                                     k_beta=float(bound),
                                     ratio=raw_bytes / len(payload),

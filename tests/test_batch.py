@@ -1,8 +1,8 @@
 """The batched container path equals a per-block assembly of the scalar pipeline.
 
 ``compress`` and ``decompress`` run every block at once on int64/uint64
-arrays for q <= 62 and write and read the records of every q in runs of
-blocks.  The reference here builds the same container from the scalar
+arrays for q <= 62, each block through the scalar stages above, and
+write and read the records of every q in runs of blocks.  The reference here builds the same container from the scalar
 stage functions one block at a time (``compress_block``, ``_pack_planes``,
 ``decompress_block``); bytes, decoded values and raised exception types
 must match exactly.
@@ -18,6 +18,7 @@ from zfpkit.codec import (
     CodecParams,
     ContainerError,
     DecodeError,
+    NegaBlock,
     ParamError,
     compress,
     compress_block,
@@ -163,3 +164,27 @@ def test_forward_keeps_its_range_checks(monkeypatch):
     monkeypatch.setattr(batch, "_lift_forward", lambda ints, p: None)
     with pytest.raises(NegabinaryRangeError):
         batch.forward(blocks, live, e_max - 3, p)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stages_above_max_q_run_block_by_block(d):
+    # q = 80: the masks need 82 digits, so each live row runs the scalar stages
+    p = CodecParams(d, 53, 80, 30)
+    assert p.q > batch.MAX_Q
+    rng = np.random.default_rng(80 + d)
+    blocks = rng.standard_normal((6, p.n)) * np.exp2(rng.integers(-40, 40, (6, p.n)))
+    blocks[[0, 3]] = 0.0
+    live, e_max = batch.block_exponents(blocks)
+    digits = batch.forward(blocks, live, e_max, p)
+    assert digits.dtype == object and digits.shape == (4, p.n)
+    for row, values in zip(digits.tolist(), blocks[live].tolist()):
+        assert tuple(row) == compress_block(values, p).digits
+    values = batch.decode_blocks(e_max, digits, p)
+    for got, row, e in zip(values, digits.tolist(), e_max.tolist()):
+        assert tuple(got.tolist()) == decompress_block(NegaBlock(tuple(row), e), p)[1]
+    # a run with no live row: no masks, and all-zero masks decode to zeros
+    dead = np.zeros((3, p.n))
+    live, e_max = batch.block_exponents(dead)
+    assert batch.forward(dead, live, e_max, p).shape == (0, p.n)
+    zero = np.zeros((3, p.n), dtype=object)
+    assert batch.decode_blocks(np.zeros(3, dtype=np.int64), zero, p).tolist() == dead.tolist()

@@ -156,6 +156,23 @@ class TestSweep:
         assert max(lo, hi) <= 2.0 * min(lo, hi)
         assert zero <= max(lo, hi)
 
+    def test_sweep_above_max_q_calls_no_measure(self, monkeypatch):
+        # q = 80 cells take the batched round trip and its float filter like any q
+        from zfpkit import experiments
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return per_trial(*args, **kwargs)
+
+        per_trial = experiments.measure
+        monkeypatch.setattr(experiments, "measure", counting)
+        spec = WorstCaseSpec(d=2, k=53, q=80, betas=(20,), rhos=(7,), trials=200, seed=6)
+        cells, violators = sweep(spec, threads=1)
+        assert violators == [] and cells[0].err_block_max > 0.0
+        assert calls == []
+
     def test_componentwise_error_grows_with_rho(self):
         spec = WorstCaseSpec(d=2, k=24, q=30, betas=(12,), rhos=(0, 14),
                              trials=300, seed=10, float32=True)
