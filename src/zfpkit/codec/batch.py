@@ -1,17 +1,16 @@
 """Batched block pipeline: blocks of a grid at once, on int64/uint64 arrays.
 
 The scalar stage functions in :mod:`.pipeline` remain the specification.
-This module computes the same digit masks and the same decoded values for
-every q, and alone picks the path: above MAX_Q each block runs the scalar
-stages on Python-int masks, and up to MAX_Q each stage runs as array
-operations over an ``(nblocks, 4**d)`` array of uint64 masks.  It does
-arithmetic only: :mod:`.stream` writes and reads the container records,
-and the two modules exchange only block exponents and digit masks, a run
-of :func:`chunk_rows` blocks at a time, so memory stays bounded whatever
-the grid size.  The bound harness in :mod:`zfpkit.experiments` is the
-second client: a sweep round-trips each run of generated trials through
-:func:`block_exponents`, :func:`forward` and :func:`decode_blocks`
-without a container.
+This module computes the same digit masks and decoded values for every q
+and alone picks the path: up to MAX_Q each stage runs as array operations
+over an ``(nblocks, 4**d)`` array of uint64 masks, above it each block runs
+the scalar stages on Python-int masks.  It does arithmetic only:
+:mod:`.stream` writes and reads the container records, and the two modules
+exchange only block exponents and digit masks, a run of :func:`chunk_rows`
+blocks at a time, so memory stays bounded whatever the grid size.  The
+bound harness in :mod:`zfpkit.experiments` is the second client: a sweep
+round-trips each run of generated trials through :func:`block_exponents`,
+:func:`forward` and :func:`decode_blocks` without a container.
 
 * Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
   intermediate stays within 2**(q+1) - 2 and every line output within

@@ -165,10 +165,7 @@ def bit_planes(nb: NegaBlock, p: CodecParams) -> list[tuple[int, ...]]:
     Plane 0 holds digit position q+1 of every coefficient; the kept payload
     is the first beta rows.
     """
-    planes = []
-    for pos in range(p.q + 1, -1, -1):
-        planes.append(tuple((u >> pos) & 1 for u in nb.digits))
-    return planes
+    return [tuple((u >> pos) & 1 for u in nb.digits) for pos in range(p.q + 1, -1, -1)]
 
 
 def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:

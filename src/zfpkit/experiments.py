@@ -366,14 +366,13 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
 # sweeps
 
 
-def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
+def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray | None:
     """Decoded values of the rows of ``blocks`` through the batch stages, for every q.
 
     Rows that are all zero or not finite come back as zeros, which
-    :func:`_clear_rows` never clears.  Every row is NaN, so that none is
-    cleared, when the batch forward stage raises: then :func:`measure`
-    takes every row of the run, and the first failing trial raises its own
-    error.
+    :func:`_clear_rows` never clears.  None when the batch forward stage
+    raises: then :func:`measure` takes every row of the run, and the first
+    failing trial raises its own error.
     """
     from .codec import batch
 
@@ -382,7 +381,7 @@ def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
     try:
         digits = batch.forward(blocks, live, e_max, p)
     except (TransformOverflowError, NegabinaryRangeError):
-        return np.full_like(blocks, np.nan)
+        return None
     out = np.zeros_like(blocks)
     out[live] = batch.decode_blocks(e_max, digits, p)
     return out
@@ -408,7 +407,12 @@ def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
         blocks = np.array([gen_worst_case_block(spec.d, spec.e_min, e_max,
                                                 trial_rng(spec.seed, cell_index, t), spec.float32)
                            for t in trials])
-        clear, err_block, err_comp = _clear_rows(blocks, _round_trip(blocks, p), bound, rho)
+        out = _round_trip(blocks, p)
+        if out is None:
+            clear = np.zeros(len(blocks), dtype=bool)
+            err_block = err_comp = np.zeros(len(blocks))
+        else:
+            clear, err_block, err_comp = _clear_rows(blocks, out, bound, rho)
         run = list(zip(err_block.tolist(), err_comp.tolist()))
         for r in np.flatnonzero(~clear).tolist():
             rec = measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
