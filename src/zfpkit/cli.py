@@ -122,7 +122,7 @@ def cmd_bounds(args) -> int:
     if args.surface:
         d_range = _parse_int_list(args.d_range)
         beta_range = _parse_int_list(args.beta_range) if args.beta_range else tuple(range(1, 65))
-        rows = B.kbeta_surface(d_range, beta_range, args.k or 53, args.q or 62)
+        rows = B.kbeta_surface(d_range, beta_range, *_precision(args))
         buf = io.StringIO()
         B.write_surface_csv(rows, buf)
         _emit(buf.getvalue(), args.out)

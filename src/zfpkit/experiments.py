@@ -2,10 +2,15 @@
 
 The harness round-trips generated or real blocks through the codec and
 checks the measured errors against the closed-form constants with exact
-integer arithmetic; a single violation anywhere is a failure.  All
-randomness flows through numpy's PCG64, and every trial derives its own
-stream from (seed, cell index, trial index), so sweeps are reproducible
-and parallel runs emit byte-identical tables.
+integer arithmetic; a single violation anywhere is a failure.  Every
+trial draws from its own numpy PCG64 stream, derived from (seed, cell
+index, trial index), so sweeps are reproducible and parallel runs emit
+byte-identical tables.  :func:`trial_rng` and :func:`gen_worst_case_block`
+specify a trial's block; sweeps compute the same streams for a run of
+trials at once (:func:`_draw_trials`) and draw a trial through the
+specification wherever that computation does not model numpy's.  A
+property test compares the two bit for bit, so it fails if a numpy release
+changes a stream.
 
 :func:`measure` is the specification of one trial.  Sweeps round-trip a
 run of trials at once through the batch stages of :mod:`.codec.batch`,
@@ -22,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -46,7 +52,9 @@ class WorstCaseSpec:
     Worst-case blocks draw one magnitude per band across
     [2**e_min, 2**(e_min + rho)], so every cell stresses the full exponent
     spread it claims.  float32 narrows draws to 24-bit significands for the
-    single-precision parameter pairing.
+    single-precision parameter pairing.  Specs whose draws could leave the
+    scalar's finite nonzero range, [2**-149, 2**127] for float32 and
+    [2**-1074, 2**1023] for float64, are rejected.
     """
 
     d: int
@@ -67,6 +75,11 @@ class WorstCaseSpec:
             raise ValueError("betas must be non-empty")
         if any(r < 0 for r in self.rhos):
             raise ValueError("rhos must be >= 0")
+        lowest, highest = (-149, 127) if self.float32 else (-1074, 1023)
+        if self.e_min < lowest or self.e_min + max(self.rhos, default=0) > highest:
+            raise ValueError(f"{'float32' if self.float32 else 'float64'} draws need "
+                             f"e_min >= {lowest} and e_min + max(rhos) <= {highest}, "
+                             f"got e_min={self.e_min}, rhos={self.rhos}")
 
     def cells(self) -> list[tuple[int, int, int]]:
         """(cell_index, rho, beta) in deterministic enumeration order."""
@@ -137,8 +150,7 @@ def gen_worst_case_block(d: int, e_min: int, e_max: int, rng: np.random.Generato
     if e_max < e_min:
         raise ValueError("e_max must be >= e_min")
     n = 4 ** d
-    delta = (e_max - e_min) / n
-    edges = [2.0 ** (e_min + h * delta) for h in range(n + 1)]
+    edges = _band_edges(e_min, e_max, n)
     # array arguments draw element by element in order, exactly as n scalar calls would
     vals = rng.uniform(edges[:-1], edges[1:])
     if float32:
@@ -148,6 +160,170 @@ def gen_worst_case_block(d: int, e_min: int, e_max: int, rng: np.random.Generato
     for i, j in zip(range(n - 1, 0, -1), rng.integers(0, np.arange(n, 1, -1)).tolist()):
         out[i], out[j] = out[j], out[i]
     return out
+
+
+def _band_edges(e_min: int, e_max: int, n: int) -> list[float]:
+    """The n + 1 band edges 2**(e_min + h*delta) of :func:`gen_worst_case_block`."""
+    delta = (e_max - e_min) / n
+    return [2.0 ** (e_min + h * delta) for h in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# many trials at once
+#
+# _draw_trials computes the draws of trial_rng + gen_worst_case_block for a
+# run of trials with array operations, one lane per trial: numpy's
+# SeedSequence on uint32 lanes, then every PCG64 output a trial uses, each by
+# one jump ahead from the seeded state, in 128-bit arithmetic on four 32-bit
+# limbs held in uint64.
+
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # SeedSequence hashmix of the entropy
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # SeedSequence.generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+
+
+def _uint32_words(v: int) -> list[int]:
+    """uint32 words of v >= 0, least significant first; 0 is one word."""
+    words = [v & _M32]
+    while v >> 32:
+        v >>= 32
+        words.append(v & _M32)
+    return words
+
+
+def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """The 8 uint32 words of ``SeedSequence(entropy).generate_state(4, np.uint64)`` per lane.
+
+    ``entropy`` holds one uint32 array per entropy word.  The hash constant
+    advances by call, not by value, so it is the same Python int in every lane.
+    """
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        v = pool[i % 4] ^ h
+        h = h * _MULT_B & _M32
+        v = v * h
+        out.append(v ^ (v >> 16))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _jump_tables(outputs: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Limbs of (M**(k+1), 1 + M + ... + M**(k+1)) mod 2**128 for k = 1 .. outputs.
+
+    PCG64 seeded with (S, inc) holds M*S + (M + 1)*inc before its first
+    output, so output k reads the state A_k*S + G_k*inc of these tables.
+    """
+    a, g, power, total = [], [], _PCG_MULT, 1 + _PCG_MULT
+    for _ in range(outputs):
+        power = power * _PCG_MULT % 2 ** 128
+        total = (total + power) % 2 ** 128
+        a.append(power)
+        g.append(total)
+
+    def limbs(values):  # four 32-bit limbs, least significant first
+        return [np.array([v >> (32 * i) & _M32 for v in values], dtype=np.uint64)
+                for i in range(4)]
+
+    return limbs(a), limbs(g)
+
+
+def _pcg_outputs(s: list[np.ndarray], inc: list[np.ndarray], outputs: int) -> np.ndarray:
+    """The first ``outputs`` PCG64 outputs of each lane, (lanes, outputs) uint64.
+
+    ``s`` and ``inc`` are limbs of (lanes, 1) of the seeding state and the
+    odd increment.  The product limbs are summed by column: a column below
+    the top keeps the low halves of its products and passes the high halves
+    on, and the top column wraps mod 2**64, of which only mod 2**32 is kept.
+    """
+    a, g = _jump_tables(outputs)
+    cols = [0, 0, 0, 0]
+    for x, c in ((s, a), (inc, g)):
+        for i in range(4):
+            for j in range(4 - i):
+                prod = x[i] * c[j]
+                if i + j == 3:
+                    cols[3] = cols[3] + prod
+                else:
+                    cols[i + j] = cols[i + j] + (prod & _M32)
+                    cols[i + j + 1] = cols[i + j + 1] + (prod >> 32)
+    limbs = []
+    for i in range(4):
+        limbs.append(cols[i] & _M32)
+        if i < 3:
+            cols[i + 1] = cols[i + 1] + (cols[i] >> 32)
+    # XSL-RR: rotr64(hi ^ lo, hi >> 58)
+    v = ((limbs[3] ^ limbs[1]) << 32) | (limbs[2] ^ limbs[0])
+    rot = limbs[3] >> 26
+    return (v >> rot) | (v << ((64 - rot) & 63))
+
+
+def _draw_trials(d: int, e_min: int, e_max: int, float32: bool, seed: int, cell_index: int,
+                 first: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of trials ``first`` .. ``first + m - 1`` of one cell and which rows to redraw.
+
+    Row r equals ``gen_worst_case_block(d, e_min, e_max, trial_rng(seed,
+    cell_index, first + r), float32)`` wherever its redraw flag is off.  A
+    flag is on where a Fisher-Yates draw would take numpy's Lemire redraw
+    path, and on every row when the entropy is not modelled here (a seed
+    that is not a non-negative int, a trial index from 2**32).  A trial uses
+    2n outputs: n doubles, n sign coins as uint32 halves of n/2 outputs, and
+    n - 1 Fisher-Yates draws (r = n .. 2) from the last n/2; n is even, so
+    no uint32 half carries over between the phases.
+    """
+    n = 4 ** d
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0 and first + m <= 2 ** 32):
+        return np.zeros((m, n)), np.ones(m, dtype=bool)
+    entropy = [np.full(m, w, dtype=np.uint32)
+               for w in _uint32_words(int(seed)) + _uint32_words(cell_index)]
+    entropy.append(np.arange(first, first + m).astype(np.uint32))
+    w = [v.astype(np.uint64)[:, None] for v in _seed_state(entropy)]
+    # generate_state words pair into uint64 s0..s3; S = s0:s1, inc = (s2:s3 << 1) | 1
+    s = [w[2], w[3], w[0], w[1]]
+    inc = [((w[6] << 1) | 1) & _M32, ((w[7] << 1) | (w[6] >> 31)) & _M32,
+           ((w[4] << 1) | (w[7] >> 31)) & _M32, ((w[5] << 1) | (w[4] >> 31)) & _M32]
+    out = _pcg_outputs(s, inc, 2 * n)
+    edges = np.array(_band_edges(e_min, e_max, n))
+    vals = edges[:-1] + (edges[1:] - edges[:-1]) * ((out[:, :n] >> 11) * 2.0 ** -53)
+    if float32:
+        vals = vals.astype(np.float32).astype(np.float64)
+    halves = np.stack((out[:, n:] & _M32, out[:, n:] >> 32), axis=2).reshape(m, 2 * n)
+    vals = np.where(halves[:, :n] >> 31 == 1, -vals, vals)
+    r = np.arange(n, 1, -1, dtype=np.uint64)
+    scaled = halves[:, n:2 * n - 1] * r  # Lemire: the draw is (u32 * r) >> 32
+    redraw = ((scaled & _M32) < (2 ** 32 - r) % r).any(axis=1)
+    picks = (scaled >> 32).astype(np.intp)
+    lanes = np.arange(m)
+    for col, i in enumerate(range(n - 1, 0, -1)):
+        j = picks[:, col]
+        held = vals[:, i].copy()
+        vals[:, i] = vals[lanes, j]
+        vals[lanes, j] = held
+    return vals, redraw
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +579,13 @@ def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
     violators: list[ExperimentRecord] = []
     rows = batch.chunk_rows(p)
     for first in range(0, spec.trials, rows):
-        trials = range(first, min(first + rows, spec.trials))
-        blocks = np.array([gen_worst_case_block(spec.d, spec.e_min, e_max,
-                                                trial_rng(spec.seed, cell_index, t), spec.float32)
-                           for t in trials])
+        m = min(rows, spec.trials - first)
+        blocks, redraw = _draw_trials(spec.d, spec.e_min, e_max, spec.float32, spec.seed,
+                                      cell_index, first, m)
+        for r in np.flatnonzero(redraw).tolist():
+            blocks[r] = gen_worst_case_block(spec.d, spec.e_min, e_max,
+                                             trial_rng(spec.seed, cell_index, first + r),
+                                             spec.float32)
         out = _round_trip(blocks, p)
         if out is None:
             clear = np.zeros(len(blocks), dtype=bool)

@@ -149,6 +149,28 @@ class TestBoundsCommand:
         assert lines[0] == "d,beta,log10_Kbeta"
         assert len(lines) == 321
 
+    def test_surface_follows_scalar_pairing(self, capsys):
+        import io
+
+        from zfpkit import bounds as B
+
+        code, stdout, _ = run(capsys, "bounds", "--surface", "--scalar", "f32",
+                              "--d-range", "1:3", "--beta-range", "2,8,26")
+        assert code == 0
+        want = io.StringIO()
+        B.write_surface_csv(B.kbeta_surface((1, 2, 3), (2, 8, 26), 24, 30), want)
+        assert stdout == want.getvalue()
+        f64 = io.StringIO()
+        B.write_surface_csv(B.kbeta_surface((1, 2, 3), (2, 8, 26), 53, 62), f64)
+        assert stdout != f64.getvalue()
+
+    @pytest.mark.parametrize("flag", ["--k", "--q"])
+    def test_surface_rejects_zero_precision(self, capsys, flag):
+        code, stdout, err = run(capsys, "bounds", "--surface", flag, "0",
+                                "--d-range", "1:2", "--beta-range", "2,4")
+        assert code == 2 and stdout == ""
+        assert err.startswith("zfpkit: error: k and q must be >= 2")
+
 
 class TestExperimentCommand:
     def test_default_sweep_exits_zero(self, capsys):
@@ -217,3 +239,9 @@ class TestOneLineErrors:
         assert code == 2
         assert stderr.count("\n") == 1 and "q must be in [2, 1024]" in stderr
         assert not (tmp_path / "v.raw.zfpk").exists()
+
+    def test_sweep_outside_the_scalar_range_refused(self, capsys):
+        code, stdout, stderr = run(capsys, "experiment", "--scalar", "f32", "--e-min", "500",
+                                   "--trials", "2", "--threads", "1")
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "float32 draws need e_min >= -149" in stderr

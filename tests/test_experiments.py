@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zfpkit.codec import CodecParams
 from zfpkit.experiments import (
@@ -63,6 +65,108 @@ class TestGenerator:
     def test_float32_values_are_narrow(self):
         blk = gen_worst_case_block(2, 0, 7, trial_rng(6, 0, 0), float32=True)
         assert all(float(np.float32(v)) == v for v in blk)
+
+
+class TestSpecRange:
+    """Specs whose draws could overflow to inf or underflow to 0 are refused."""
+
+    @pytest.mark.parametrize("float32, e_min, rhos, ok", [
+        (True, -149, (0,), True), (True, -150, (0,), False),
+        (True, 113, (0, 14), True), (True, 114, (0, 14), False),
+        (False, -1074, (0,), True), (False, -1075, (0,), False),
+        (False, 1009, (14, 7), True), (False, 1010, (14, 7), False),
+    ])
+    def test_boundaries(self, float32, e_min, rhos, ok):
+        def make():
+            return WorstCaseSpec(d=1, k=53, q=62, betas=(8,), rhos=rhos, e_min=e_min,
+                                 float32=float32)
+
+        if not ok:
+            with pytest.raises(ValueError, match="draws need e_min"):
+                make()
+            return
+        make()
+        for t in range(50):
+            blk = gen_worst_case_block(1, e_min, e_min + max(rhos), trial_rng(0, 0, t), float32)
+            assert all(v != 0.0 and np.isfinite(v) for v in blk)
+
+
+class TestDrawTrials:
+    """The vectorised draws of a sweep equal the per-trial numpy streams."""
+
+    @staticmethod
+    def per_trial(d, e_min, e_max, float32, seed, cell, t):
+        """(block, whether numpy's stream took a draw beyond the plain trial's).
+
+        Without a redraw a trial takes 2 * 4**d outputs and leaves the high
+        half of the last one buffered; a redraw takes that half or more.
+        """
+        rng = trial_rng(seed, cell, t)
+        block = np.array(gen_worst_case_block(d, e_min, e_max, rng, float32))
+        plain = trial_rng(seed, cell, t).bit_generator
+        plain.advance(2 * 4 ** d)
+        after = rng.bit_generator.state
+        return block, (after["state"], after["has_uint32"]) != (plain.state["state"], 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), d=st.sampled_from((1, 2, 3)), float32=st.booleans(),
+           seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                          st.integers(2 ** 64, 2 ** 96 - 1)),
+           cell=st.one_of(st.integers(0, 40), st.integers(2 ** 32, 2 ** 40)),
+           rho=st.integers(0, 60), m=st.integers(1, 8))
+    def test_rows_equal_per_trial_draws(self, data, d, float32, seed, cell, rho, m):
+        from zfpkit.experiments import _draw_trials
+
+        lowest, highest = (-149, 127) if float32 else (-1074, 1023)
+        e_min = data.draw(st.one_of(st.integers(-20, 20), st.integers(lowest, highest - rho)))
+        first = data.draw(st.one_of(st.integers(0, 5000), st.just(2 ** 32 - m)))
+        blocks, redraw = _draw_trials(d, e_min, e_min + rho, float32, seed, cell, first, m)
+        assert blocks.shape == (m, 4 ** d)
+        for r in range(m):
+            block, took_redraw = self.per_trial(d, e_min, e_min + rho, float32, seed, cell,
+                                                first + r)
+            assert redraw[r] == took_redraw
+            if not took_redraw:
+                assert blocks[r].view(np.int64).tolist() == block.view(np.int64).tolist()
+
+    def test_a_lemire_redraw_is_flagged(self):
+        # trial 2244627 of (seed 1, cell 0) takes numpy's redraw path at d = 3
+        from zfpkit.experiments import _draw_trials
+
+        blocks, redraw = _draw_trials(3, 0, 7, False, 1, 0, 2244626, 3)
+        assert redraw.tolist() == [False, True, False]
+        block, took_redraw = self.per_trial(3, 0, 7, False, 1, 0, 2244627)
+        assert took_redraw
+        assert blocks[1].view(np.int64).tolist() != block.view(np.int64).tolist()
+
+    def test_unmodelled_entropy_flags_every_row(self):
+        from zfpkit.experiments import _draw_trials
+
+        assert _draw_trials(1, 0, 7, False, 3, 0, 2 ** 32 - 2, 4)[1].all()
+        assert _draw_trials(1, 0, 7, False, -1, 0, 0, 4)[1].all()
+
+    def test_redrawing_every_row_changes_no_cell(self, monkeypatch):
+        from zfpkit import experiments
+
+        spec = WorstCaseSpec(d=2, k=24, q=30, betas=(6, 18), rhos=(0, 14), e_min=-20,
+                             trials=300, seed=5, float32=True)  # two runs of rows per cell
+        want = sweep(spec, threads=1)
+        vectorised = experiments._draw_trials
+
+        def all_flagged(*args):
+            blocks, _ = vectorised(*args)
+            return np.full_like(blocks, np.nan), np.ones(len(blocks), dtype=bool)
+
+        monkeypatch.setattr(experiments, "_draw_trials", all_flagged)
+        assert sweep(spec, threads=1) == want
+
+    def test_negative_seed_raises_numpys_error(self):
+        with pytest.raises(Exception) as numpy_error:
+            trial_rng(-1, 0, 0)
+        spec = WorstCaseSpec(d=1, k=53, q=62, betas=(8,), trials=3, seed=-1)
+        with pytest.raises(type(numpy_error.value)) as sweep_error:
+            sweep(spec, threads=1)
+        assert str(sweep_error.value) == str(numpy_error.value)
 
 
 class TestMeasure:
