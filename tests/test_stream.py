@@ -12,12 +12,15 @@ from zfpkit.codec import (
     DecodeError,
     NegaBlock,
     ParamError,
+    bit_planes,
     bitplane_truncate,
     compress,
+    compress_block,
     decode_planes,
     decompress,
     encode_planes,
     nega_encode,
+    partition,
     read_header,
 )
 
@@ -311,3 +314,118 @@ class TestDamagedContainer:
                 decompress(bad)  # a damaged container may still be a valid one
             except ContainerError:
                 pass
+
+
+def plane_ends(nb, p):
+    """Bits from a record's first plane test bit to the end of each kept plane."""
+    ends, at = [], 0
+    for row in bit_planes(nb, p)[:p.beta]:
+        at += 1 + p.n * any(row)
+        ends.append(at)
+    return ends
+
+
+def first_cut_plane(ends, limit):
+    """The first plane that does not lie wholly within ``limit`` bits."""
+    return next(j for j, end in enumerate(ends) if end > limit)
+
+
+def record_layout(grid, p, b_e):
+    """(payload byte offset, plane ends or None for a zero block) of every record."""
+    layout, at = [], 0
+    for values in partition(grid):
+        nb = compress_block(values, p)
+        if nb.is_zero:
+            layout.append((at, None))
+            at += 1
+        else:
+            ends = plane_ends(nb, p)
+            layout.append((at, ends))
+            at += (1 + b_e + ends[-1] + 7) // 8
+    return layout, at
+
+
+def layout_grid(d, seed):
+    """A zero block, a block of equal values (mostly empty planes), then random blocks."""
+    shape = {1: (24,), 2: (8, 12), 3: (4, 4, 12)}[d]
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal(shape) * np.exp2(rng.integers(-12, 13, size=shape))
+    grid[(slice(0, 4),) * d] = 0.0
+    grid[(slice(0, 4),) * (d - 1) + (slice(4, 8),)] = 3.0
+    return grid
+
+
+class TestReaderErrorNaming:
+    """The block and plane a damaged payload names, derived from the plane layout."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.sampled_from([(24, 30), (53, 62)]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    def test_every_payload_cut_names_first_plane_not_inside(self, d, kq, seed, data):
+        from zfpkit.codec import CompressedBlock
+        k, q = kq
+        p = CodecParams(d, k, q, data.draw(st.integers(min_value=1, max_value=q - 2 * d + 2)))
+        rng = np.random.default_rng(seed)
+        # coefficients of random magnitude, so that some planes are empty
+        ints = [int(rng.integers(-(1 << t), 1 << t)) for t in rng.integers(0, q + 1, size=p.n)]
+        nb = bitplane_truncate(NegaBlock(tuple(nega_encode(v, q) for v in ints), q - 1), p)
+        if nb.is_zero:  # -(2**q - 1) needs digit position q + 1 for even q
+            ints[0] = -((1 << q) - 1)
+            nb = bitplane_truncate(NegaBlock(tuple(nega_encode(v, q) for v in ints), q - 1), p)
+        cb = encode_planes(nb, p)
+        ends = plane_ends(nb, p)
+        assert ends[-1] == cb.payload_bits
+        for cut in range(len(cb.payload)):
+            clipped = CompressedBlock(False, cb.e_max, p.beta, cb.payload[:cut],
+                                      min(cb.payload_bits, 8 * cut))
+            with pytest.raises(DecodeError, match="stream ends inside plane payload") as info:
+                decode_planes(clipped, p)
+            assert info.value.block is None
+            assert info.value.plane == first_cut_plane(ends, 8 * cut)
+
+    @pytest.mark.parametrize("d, k, q, beta", [(1, 53, 62, 62), (2, 24, 30, 9), (3, 53, 62, 20)])
+    def test_exponent_fault_named_before_any_later_cut(self, d, k, q, beta):
+        b_e = 12
+        p = CodecParams(d, k, q, beta)
+        grid = layout_grid(d, seed=d)
+        data = compress(grid, p, b_e=b_e)
+        _, offset = read_header(data)
+        layout, size = record_layout(grid, p, b_e)
+        assert offset + size == len(data)
+        for i, (at, ends) in enumerate(layout):
+            if ends is None:
+                continue
+            # the flag bit, then the 12-bit field set to 4095: exponent 2048
+            start = offset + at
+            bad = bytearray(data)
+            field = int.from_bytes(bad[start:start + 2], "big") | ((1 << b_e) - 1) << 3
+            bad[start:start + 2] = field.to_bytes(2, "big")
+            # uncut, and cut inside this block's planes or any later record
+            for cut in range(start + 2, len(data) + 1):
+                with pytest.raises(DecodeError, match="block exponent 2048 exceeds") as info:
+                    decompress(bytes(bad[:cut]))
+                assert (info.value.block, info.value.plane) == (i, None)
+
+    @pytest.mark.parametrize("d, k, q, beta", [(1, 53, 62, 62), (2, 24, 30, 9), (3, 53, 62, 20),
+                                               (1, 13, 9, 9)])
+    def test_cut_inside_a_record_names_it(self, d, k, q, beta):
+        b_e = 11
+        p = CodecParams(d, k, q, beta)
+        grid = layout_grid(d, seed=10 + d)
+        data = compress(grid, p, b_e=b_e)
+        _, offset = read_header(data)
+        layout, size = record_layout(grid, p, b_e)
+        assert offset + size == len(data)
+        for i, (at, ends) in enumerate(layout):
+            end = layout[i + 1][0] if i + 1 < len(layout) else size
+            for cut in range(at, end):
+                limit = 8 * (cut - at) - 1 - b_e  # plane bits of block i inside the cut
+                with pytest.raises(DecodeError) as info:
+                    decompress(data[:offset + cut])
+                if ends is None or limit < 0:
+                    assert "stream ends inside block prologue" in str(info.value)
+                    assert (info.value.block, info.value.plane) == (i, None)
+                else:
+                    assert "stream ends inside plane payload" in str(info.value)
+                    assert (info.value.block, info.value.plane) == (
+                        i, first_cut_plane(ends, limit))
