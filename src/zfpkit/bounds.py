@@ -80,15 +80,21 @@ def _compression_bracket(inp: BoundInputs) -> Fraction:
             + e_q * (1 + Fraction(8, 3) * e_b) * (k_l(inp.d) * (1 + e_q) + 1))
 
 
+def beta_default_max(d: int, q: int) -> int:
+    """Largest beta of the default regime, q - 2d + 2: the inverse transform never rounds."""
+    return q - 2 * d + 2
+
+
 def k_beta_exact(inp: BoundInputs, allow_out_of_regime: bool = False) -> Fraction:
     """Worst-case relative round-trip error constant (exact rational).
 
     Proved for beta <= q - 2d + 2.  Out-of-regime evaluation (used by the
     surface sweep) must be requested explicitly.
     """
-    if inp.beta > inp.q - 2 * inp.d + 2 and not allow_out_of_regime:
+    tight_max = beta_default_max(inp.d, inp.q)
+    if inp.beta > tight_max and not allow_out_of_regime:
         raise BoundDomainError(
-            f"K_beta requires beta <= q - 2d + 2 = {inp.q - 2 * inp.d + 2}, "
+            f"K_beta requires beta <= q - 2d + 2 = {tight_max}, "
             f"got beta = {inp.beta}")
     e_k = epsilon(inp.k)
     return Fraction(15, 4) ** inp.d * ((1 + e_k) * _compression_bracket(inp) + e_k)
@@ -106,7 +112,7 @@ def k_beta_applies(d: int, q: int, beta: int) -> bool:
     junction and so adds nothing; strictly between, the inverse transform
     may round and the looser B_beta is charged.
     """
-    return not q - 2 * d + 2 < beta < q + 2
+    return not beta_default_max(d, q) < beta < q + 2
 
 
 def b_beta_exact(inp: BoundInputs) -> Fraction:

@@ -84,7 +84,7 @@ def _precision(args) -> tuple[int, int]:
 
 def _build_params(args, d: int) -> CodecParams:
     k, q = _precision(args)
-    beta = args.beta if args.beta is not None else max(q - 2 * d + 2, 0)
+    beta = args.beta if args.beta is not None else max(B.beta_default_max(d, q), 0)
     return CodecParams(d, k, q, beta, allow_wide_beta=args.allow_appendix_b)
 
 
@@ -129,9 +129,10 @@ def cmd_bounds(args) -> int:
         return 0
     if args.k is None or args.q is None or args.d is None or args.beta is None:
         raise ParamError("bounds needs --d, --k, --q and --beta (or --surface)")
+    b_e = DEFAULT_EXPONENT_BITS if args.b_e is None else args.b_e
     inp = B.BoundInputs(d=args.d, k=args.k, q=args.q, beta=args.beta,
-                        e_max=args.e_max, e_min=args.e_min, b=args.b, b_e=args.b_e)
-    tight_max = args.q - 2 * args.d + 2
+                        e_max=args.e_max, e_min=args.e_min, b=args.b, b_e=b_e)
+    tight_max = B.beta_default_max(args.d, args.q)
     kb = B.k_beta(inp, allow_out_of_regime=True)
     regime = "" if args.beta <= tight_max else f"  (outside beta <= {tight_max})"
     print(f"K_beta      = {kb:.10g}{regime}")
@@ -148,8 +149,8 @@ def cmd_bounds(args) -> int:
             print(f"beta for 2^-{args.b} accuracy at e_max={args.e_max}: {beta_needed}")
         except B.InfeasibleAccuracyError as e:
             print(f"beta for 2^-{args.b} accuracy: infeasible ({e})")
-    rate = B.rate_lower_bound(args.beta, args.d, args.b_e)
-    print(f"rate bound  >= {float(rate):.10g} bits/value (b_e = {args.b_e})")
+    rate = B.rate_lower_bound(args.beta, args.d, b_e)
+    print(f"rate bound  >= {float(rate):.10g} bits/value (b_e = {b_e})")
     return 0
 
 
@@ -161,7 +162,7 @@ def cmd_experiment(args) -> int:
         dims = _parse_dims(args.dims)
         grid = X.load_raw_grid(args.grid, dims, args.scalar)
         betas = _parse_int_list(args.beta_range) if args.beta_range else (
-            tuple(sorted({2, 4, 8, 16, q - 2 * len(dims) + 2})))
+            tuple(sorted({2, 4, 8, 16, B.beta_default_max(len(dims), q)})))
         rows = X.analyze_grid(grid, k, q, betas, _SCALAR_BYTES[args.scalar],
                               allow_wide_beta=args.allow_appendix_b, b_e=args.b_e)
         buf = io.StringIO()
@@ -173,7 +174,7 @@ def cmd_experiment(args) -> int:
             return 1
         return 0
     d = args.d if args.d is not None else 1
-    tight_max = q - 2 * d + 2
+    tight_max = B.beta_default_max(d, q)
     betas = _parse_int_list(args.beta_range) if args.beta_range else (
         tuple(sorted({b for b in (8, 16, 32, 48) if b <= tight_max} | {max(tight_max, 1)})))
     rhos = _parse_int_list(args.rho_list)
@@ -209,8 +210,9 @@ def _add_common_params(sp, with_beta=True):
         sp.add_argument("--beta", type=int, default=None, help="bit planes kept")
     sp.add_argument("--allow-appendix-b", action="store_true",
                     help="permit beta in (q-2d+2, q+2] (looser bound applies)")
-    sp.add_argument("--b-e", type=int, default=DEFAULT_EXPONENT_BITS,
-                    help="container exponent field width")
+    sp.add_argument("--b-e", type=int, default=None,
+                    help="container exponent field width (default 11, or 12 when a "
+                         "block is subnormal; bounds takes 11)")
 
 
 def build_parser() -> argparse.ArgumentParser:

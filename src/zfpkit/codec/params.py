@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import bounds
+
 
 class ParamError(ValueError):
     """Invalid codec configuration."""
@@ -76,4 +78,4 @@ class CodecParams:
     @property
     def beta_default_max(self) -> int:
         """Largest beta for which the inverse transform never rounds."""
-        return self.q - 2 * self.d + 2
+        return bounds.beta_default_max(self.d, self.q)

@@ -29,11 +29,13 @@ container invalid.
 any coding.  Block exponents and digit masks are the only hand-off between
 the records and the block arithmetic, which :mod:`.batch` does for every q:
 :func:`_write_records` writes the masks of a run of blocks with one
-``np.packbits``, and the reader walks the test bits of each record in one
-pass, then turns the coded planes of all blocks into their digit masks with
-array operations (:func:`_gather_digits`).  A block whose reconstruction is
-not a finite float64 makes ``decompress`` raise :class:`DecodeError`
-naming the first such block.
+``np.packbits``.  The reader steps over each record's planes only to find
+where the next record starts; it then reads the exponent fields of a run of
+records in one array step, and :func:`_gather_digits` turns their coded
+planes into digit masks.  :func:`_plane_starts` is the one place that
+places planes, so it also names a plane that the stream cuts off.  A block
+whose reconstruction is not a finite float64 makes ``decompress`` raise
+:class:`DecodeError` naming the first such block.
 """
 
 from __future__ import annotations
@@ -187,62 +189,51 @@ def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
 
 
 def _stream_bits(payload: bytes, p: CodecParams) -> memoryview:
-    """One byte per bit of ``payload``, MSB first, then zeros for :func:`_walk_planes`."""
+    """One byte per bit of ``payload``, MSB first, then zeros.
+
+    A plane walk that starts inside the payload and runs past its end reads
+    at most n + beta - 1 bits of the zeros.
+    """
     pad = bytes((p.n + 1 + p.beta) // 8 + 1)
     return memoryview(np.unpackbits(np.frombuffer(payload + pad, dtype=np.uint8)))
 
 
-def _walk_planes(bits, at: int, limit: int, p: CodecParams,
-                 block_index: int | None = None) -> int:
-    """Position after the last plane of a record whose first test bit is at ``at``.
-
-    ``bits`` is from :func:`_stream_bits` and holds ``limit`` stream bits;
-    a plane is one test bit, followed by n bits when the test bit is 1.
-    """
-    step = p.n + 1
-    start = at
-    for _ in range(p.beta):
-        if bits[at]:
-            at += step
-        else:
-            at += 1
-    if at > limit:  # the walk ran into the zero padding: name the first plane cut off
-        at = start
-        for plane_idx in range(p.beta):
-            at += step if bits[at] else 1
-            if at > limit:
-                raise DecodeError("stream ends inside plane payload",
-                                  block=block_index, plane=plane_idx)
-    return at
-
-
 def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
-    """Positions (beta, records) of the plane test bits of records starting at ``pos``.
+    """Positions (beta + 1, records): plane j of the record at ``pos`` spans at[j]:at[j + 1].
 
     ``stream`` holds one byte per bit (:func:`_stream_bits`); each plane is
     its test bit, then its n bits if the test bit is 1.
     """
     length = 1 + p.n * stream  # bits in a plane whose test bit is at i, for every i
-    at = np.empty((p.beta, len(pos)), dtype=np.int64)
-    at[:1] = pos  # nothing to fill when beta = 0
-    for j in range(1, p.beta):
-        np.add(at[j - 1], length[at[j - 1]], out=at[j])
+    at = np.empty((p.beta + 1, len(pos)), dtype=np.int64)
+    at[0] = pos
+    for j in range(p.beta):
+        np.add(at[j], length[at[j]], out=at[j + 1])
     return at
 
 
-def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
+def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: int,
+                   blocks: np.ndarray | None = None) -> np.ndarray:
     """Digit masks of the records whose first plane test bit is at ``pos`` in ``stream``.
 
     Plane j of a record is digit position q + 1 - j.  Returns one row of n
-    masks per record (see :func:`.batch._digit_type`).
+    masks per record (see :func:`.batch._digit_type`).  Raises DecodeError
+    for the first record, named ``blocks[i]``, whose planes run past the
+    ``limit`` stream bits, and the first of its planes that does.
     """
     from .batch import _digit_type
 
     at = _plane_starts(stream, pos, p)
+    cut = at[-1] > limit
+    if cut.any():
+        i = int(cut.argmax())
+        raise DecodeError("stream ends inside plane payload",
+                          block=None if blocks is None else int(blocks[i]),
+                          plane=int(np.count_nonzero(at[1:, i] <= limit)))
     # (beta, records, 1 + n): each plane's test bit and the n bits after it, read
     # through a read-only view whose row i is stream[i:i + 1 + n]
     window = as_strided(stream, (len(stream) - p.n, 1 + p.n), (1, 1), writeable=False)
-    plane = window[at]
+    plane = window[at[:-1]]
     plane[..., 1:] *= plane[..., :1]  # an empty plane has no digits
     # one byte per digit position of each mask, most significant first, in whole bytes
     width = -(-(p.q + 2) // 8) * 8
@@ -268,9 +259,8 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
         raise DecodeError(f"record carries beta={cb.beta}, params say {p.beta}")
     if cb.zero_flag:
         return NegaBlock((0,) * p.n, None)
-    bits = _stream_bits(cb.payload, p)
-    _walk_planes(bits, 0, 8 * len(cb.payload), p)
-    digits = _gather_digits(np.asarray(bits), np.zeros(1, dtype=np.int64), p)
+    bits = np.asarray(_stream_bits(cb.payload, p))
+    digits = _gather_digits(bits, np.zeros(1, dtype=np.int64), p, 8 * len(cb.payload))
     return NegaBlock(tuple(digits[0].tolist()), cb.e_max)
 
 
@@ -311,8 +301,12 @@ def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
     return np.packbits(bits).tobytes()
 
 
-def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> bytes:
-    """Compress a d-dimensional array into a self-describing container."""
+def compress(grid, params: CodecParams, b_e: int | None = None) -> bytes:
+    """Compress a d-dimensional array into a self-describing container.
+
+    ``b_e`` is the exponent field width; None takes 11 bits, or 12 when a
+    block exponent is below -1023 (a block of subnormal values only).
+    """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != params.d:
         raise GridShapeError(f"grid has {grid.ndim} axes but params.d = {params.d}")
@@ -320,28 +314,28 @@ def compress(grid, params: CodecParams, b_e: int = DEFAULT_EXPONENT_BITS) -> byt
         raise GridShapeError("empty grid")
     if not np.isfinite(grid).all():
         raise ValueError("grid contains NaN or infinity; only finite values compress")
-    if b_e not in _EXPONENT_BITS_RANGE:
+    if b_e is not None and b_e not in _EXPONENT_BITS_RANGE:
         raise ParamError(f"b_e must be in [2, 32], got {b_e}")
-    header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
-                         beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
-    out = bytearray(_pack_header(header))
     from . import batch  # imported on first use: `import zfpkit` does not load it
 
     blocks = _block_array(grid)
     rows = batch.chunk_rows(params)
+    runs = [(run, *batch.block_exponents(run))
+            for run in np.split(blocks, range(rows, len(blocks), rows))]
+    e_max = np.concatenate([e for _, _, e in runs]).astype(np.int64)  # of every live block
+    if b_e is None:  # the default field holds block exponents down to -1023
+        b_e = DEFAULT_EXPONENT_BITS + bool((e_max < -1023).any())
     bias = (1 << (b_e - 1)) - 1
-    runs = []
-    for first in range(0, len(blocks), rows):
-        run = blocks[first:first + rows]
-        live, e_max = batch.block_exponents(run)
-        stored = e_max.astype(np.int64) + bias
-        misfit = (stored < 0) | (stored >= 1 << b_e)
-        if misfit.any():
-            raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
-                             f"{b_e}-bit biased field; raise b_e")
-        runs.append((run, live, e_max, stored))
-    for run, live, e_max, stored in runs:
-        out += _write_records(batch.forward(run, live, e_max, params), live, stored, params, b_e)
+    misfit = (e_max + bias < 0) | (e_max + bias >= 1 << b_e)
+    if misfit.any():
+        raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
+                         f"{b_e}-bit biased field; raise b_e")
+    header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
+                         beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
+    out = bytearray(_pack_header(header))
+    for run, live, e_max in runs:
+        out += _write_records(batch.forward(run, live, e_max, params), live,
+                              e_max.astype(np.int64) + bias, params, b_e)
     return bytes(out)
 
 
@@ -355,34 +349,39 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
     one.
     """
     b_e = header.b_e
-    bias = (1 << (b_e - 1)) - 1
     prologue = 1 + b_e
-    prologue_bytes = (prologue + 7) // 8
+    step = params.n + 1
     bits = _stream_bits(window, params)
     limit = 8 * len(window)
-    e_max = np.zeros(count, dtype=np.int64)
     planes_at = np.zeros(count, dtype=np.int64)  # 0 for a zero block
     at = 0
-    for r in range(count):
+    for r in range(count):  # step over each record to find where the next one starts
         if at >= limit or (not bits[at] and at + prologue > limit):
-            raise DecodeError("stream ends inside block prologue", block=first + r)
+            break
         if bits[at]:
             at += 8
             continue
-        start = at // 8
-        e = ((int.from_bytes(window[start:start + prologue_bytes], "big")
-              >> (8 * prologue_bytes - prologue)) & ((1 << b_e) - 1)) - bias
-        if e > _MAX_BLOCK_EXPONENT:
-            raise DecodeError(
-                f"block exponent {e} exceeds {_MAX_BLOCK_EXPONENT}, "
-                "the largest exponent of a finite float64", block=first + r)
-        e_max[r] = e
-        planes_at[r] = at + prologue
-        end = _walk_planes(bits, at + prologue, limit, params, first + r)
-        at += (end - at + 7) & -8
-    # the same walk over all records of the run at once, now that their starts are known
+        planes_at[r] = at = at + prologue
+        for _ in range(params.beta):
+            at += step if bits[at] else 1
+        at = (at + 7) & -8
+    else:
+        r = count
+    # faults of blocks before r, in block order: an exponent above the float64
+    # range, then a cut plane (only block r - 1 can have one), then block r's cut prologue
     live = np.flatnonzero(planes_at)
-    masks = _gather_digits(np.asarray(bits), planes_at[live], params)
+    stream = np.asarray(bits)
+    field = stream[planes_at[live, None] - np.arange(b_e, 0, -1)]  # (live, b_e), MSB first
+    e_max = np.zeros(count, dtype=np.int64)
+    e_max[live] = field @ (1 << np.arange(b_e - 1, -1, -1)) - ((1 << (b_e - 1)) - 1)
+    over = e_max > _MAX_BLOCK_EXPONENT
+    if over.any():
+        i = int(over.argmax())
+        raise DecodeError(f"block exponent {e_max[i]} exceeds {_MAX_BLOCK_EXPONENT}, "
+                          "the largest exponent of a finite float64", block=first + i)
+    masks = _gather_digits(stream, planes_at[live], params, limit, first + live)
+    if r < count:
+        raise DecodeError("stream ends inside block prologue", block=first + r)
     digits = np.zeros((count, params.n), dtype=masks.dtype)
     digits[live] = masks
     return e_max, digits, at // 8

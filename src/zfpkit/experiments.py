@@ -699,7 +699,7 @@ def load_raw_grid(path, dims: Sequence[int], scalar: str = "f64") -> np.ndarray:
 
 def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
                  scalar_bytes: int = 8, allow_wide_beta: bool = False,
-                 b_e: int = 11) -> list[GridAnalysisRow]:
+                 b_e: int | None = None) -> list[GridAnalysisRow]:
     """Per-beta worst block error and compression ratio for one grid.
 
     Each nonzero block of ``partition(grid)`` is compared with the block
@@ -708,7 +708,8 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
     bound column carries the constant that applies to each beta (the loose
     one in the wide regime).  Violations are counted with exact arithmetic
     and should always be zero: blocks that :func:`_clear_rows` cannot clear
-    are compared in exact ints one at a time.
+    are compared in exact ints one at a time.  ``b_e`` goes to
+    :func:`.codec.compress`, where None picks the exponent field width.
     """
     from .codec import batch
     from .codec.stream import _decode

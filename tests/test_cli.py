@@ -245,3 +245,22 @@ class TestOneLineErrors:
                                    "--trials", "2", "--threads", "1")
         assert code == 2 and stdout == ""
         assert stderr.count("\n") == 1 and "float32 draws need e_min >= -149" in stderr
+
+
+class TestSubnormalGrid:
+    def test_compress_and_grid_analysis_take_the_wider_field(self, tmp_path, capsys):
+        from zfpkit.codec import read_header
+        src = tmp_path / "s.raw"
+        grid = np.array([1e-310, 2.0, 1.0, 3.0, 1e-310, 1e-311, 0.0, 5e-324])
+        grid.tofile(src)
+        out = tmp_path / "s.zfpk"
+        code, _, stderr = run(capsys, "compress", str(src), "--dims", "8", "--out", str(out))
+        assert code == 0 and stderr == ""
+        assert read_header(out.read_bytes())[0].b_e == 12
+        code, _, _ = run(capsys, "decompress", str(out), "--out", str(tmp_path / "s.out"))
+        assert code == 0 and np.fromfile(tmp_path / "s.out").shape == (8,)
+        code, stdout, _ = run(capsys, "experiment", "--grid", str(src), "--dims", "8")
+        assert code == 0 and stdout.startswith("beta,max_block_err,K_beta,ratio\n")
+        code, _, stderr = run(capsys, "compress", str(src), "--dims", "8", "--b-e", "11",
+                              "--out", str(out))
+        assert code == 2 and "block exponent -1030 does not fit a 11-bit" in stderr

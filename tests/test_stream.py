@@ -1,9 +1,12 @@
 """Container format: plane coder losslessness, header round trips, damage."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zfpkit.codec import (
     ArrayHeader,
@@ -429,3 +432,49 @@ class TestReaderErrorNaming:
                     assert "stream ends inside plane payload" in str(info.value)
                     assert (info.value.block, info.value.plane) == (
                         i, first_cut_plane(ends, limit))
+
+
+EXTREMES = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0]
+SUBNORMAL_GRID = [1e-310, 2.0, 1.0, 3.0, 1e-310, 1e-311, 0.0, 5e-324]
+
+
+class TestDefaultExponentWidth:
+    """b_e=None: 11 bits, or 12 when a block exponent is below -1023."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=3, max_side=8),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)
+                      | st.sampled_from(EXTREMES)))
+    def test_every_finite_grid_compresses(self, grid):
+        p = CodecParams(grid.ndim, 53, 62, 62 - 2 * grid.ndim + 2)
+        data = compress(grid, p)
+        # block exponents from the scalar frexp, not from the codec
+        e_max = [max(math.frexp(v)[1] - 1 for v in values if v)
+                 for values in partition(grid) if any(values)]
+        assert read_header(data)[0].b_e == (12 if min(e_max, default=0) < -1023 else 11)
+        try:
+            out = decompress(data)
+        except DecodeError as e:  # a block near the float64 maximum may reconstruct beyond it
+            assert "float64 range" in str(e)
+        else:
+            assert out.shape == grid.shape and np.isfinite(out).all()
+
+    def test_subnormal_grid_round_trips(self):
+        from zfpkit.experiments import applicable_bound_exact
+        grid = np.array(SUBNORMAL_GRID)
+        p = CodecParams(1, 53, 62, 62)
+        data = compress(grid, p)
+        assert read_header(data)[0].b_e == 12
+        out = decompress(data)
+        bound = float(applicable_bound_exact(p))
+        for x, w in zip(grid.reshape(2, 4), out.reshape(2, 4)):
+            assert np.max(np.abs(w - x)) <= bound * np.max(np.abs(x))
+        # the block of 1e-310 has exponent -1030; an explicit width is not widened
+        with pytest.raises(ParamError, match="block exponent -1030 does not fit a 11-bit"):
+            compress(grid, p, b_e=11)
+        assert compress(grid, p, b_e=12) == data
+
+    def test_grids_that_fit_eleven_bits_keep_their_bytes(self):
+        grid = np.array([1e-300, 2.0, -1.7976931348623157e308, 3.0, 0.0, 0.0, 0.0, 0.0])
+        p = CodecParams(1, 53, 62, 40)
+        assert compress(grid, p) == compress(grid, p, b_e=11)
