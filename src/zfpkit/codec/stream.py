@@ -322,13 +322,13 @@ def compress(grid, params: CodecParams, b_e: int | None = None) -> bytes:
     rows = batch.chunk_rows(params)
     runs = [(run, *batch.block_exponents(run))
             for run in np.split(blocks, range(rows, len(blocks), rows))]
-    e_max = np.concatenate([e for _, _, e in runs]).astype(np.int64)  # of every live block
+    e_all = np.concatenate([e for _, _, e in runs]).astype(np.int64)  # of every live block
     if b_e is None:  # the default field holds block exponents down to -1023
-        b_e = DEFAULT_EXPONENT_BITS + bool((e_max < -1023).any())
+        b_e = DEFAULT_EXPONENT_BITS + bool((e_all < -1023).any())
     bias = (1 << (b_e - 1)) - 1
-    misfit = (e_max + bias < 0) | (e_max + bias >= 1 << b_e)
+    misfit = (e_all + bias < 0) | (e_all + bias >= 1 << b_e)
     if misfit.any():
-        raise ParamError(f"block exponent {e_max[misfit.argmax()]} does not fit a "
+        raise ParamError(f"block exponent {e_all[misfit.argmax()]} does not fit a "
                          f"{b_e}-bit biased field; raise b_e")
     header = ArrayHeader(dims=tuple(grid.shape), k=params.k, q=params.q,
                          beta=params.beta, b_e=b_e, wide_beta=params.allow_wide_beta)
