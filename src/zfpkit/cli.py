@@ -29,6 +29,7 @@ from .codec import (
     ContainerError,
     GridShapeError,
     ParamError,
+    check_exponent_bits,
     compress,
     decompress,
     read_header,
@@ -130,6 +131,7 @@ def cmd_bounds(args) -> int:
     if args.k is None or args.q is None or args.d is None or args.beta is None:
         raise ParamError("bounds needs --d, --k, --q and --beta (or --surface)")
     b_e = DEFAULT_EXPONENT_BITS if args.b_e is None else args.b_e
+    check_exponent_bits(b_e)
     inp = B.BoundInputs(d=args.d, k=args.k, q=args.q, beta=args.beta,
                         e_max=args.e_max, e_min=args.e_min, b=args.b, b_e=b_e)
     tight_max = B.beta_default_max(args.d, args.q)
@@ -173,6 +175,8 @@ def cmd_experiment(args) -> int:
             print(f"ERROR: {bad} block(s) exceeded the error bound", file=sys.stderr)
             return 1
         return 0
+    if args.b_e is not None:
+        raise ParamError("--b-e applies only with --grid: a sweep writes no container")
     d = args.d if args.d is not None else 1
     tight_max = B.beta_default_max(d, q)
     betas = _parse_int_list(args.beta_range) if args.beta_range else (

@@ -43,6 +43,7 @@ from .stream import (
     ContainerError,
     DecodeError,
     bit_planes,
+    check_exponent_bits,
     compress,
     decode_planes,
     decompress,
@@ -70,6 +71,7 @@ __all__ = [
     "block_count",
     "block_fp_forward",
     "block_fp_inverse",
+    "check_exponent_bits",
     "compress",
     "compress_block",
     "decode_planes",

@@ -27,15 +27,19 @@ container invalid.
 
 ``compress`` checks every block exponent against the b_e-bit field before
 any coding.  Block exponents and digit masks are the only hand-off between
-the records and the block arithmetic, which :mod:`.batch` does for every q:
-:func:`_write_records` writes the masks of a run of blocks with one
-``np.packbits``.  The reader steps over each record's planes only to find
-where the next record starts; it then reads the exponent fields of a run of
-records in one array step, and :func:`_gather_digits` turns their coded
-planes into digit masks.  :func:`_plane_starts` is the one place that
-places planes, so it also names a plane that the stream cuts off.  A block
-whose reconstruction is not a finite float64 makes ``decompress`` raise
-:class:`DecodeError` naming the first such block.
+the records and the block arithmetic, which :mod:`.batch` does for every q.
+Both directions see a run's masks through one layout, the (blocks, beta, n)
+array of plane bits: :func:`_mask_bits` unpacks the masks' big-endian bytes
+into it and :func:`_masks` packs it back.  :func:`_write_records` lays out
+every record of a run as a row of one bit matrix and packs the kept bits
+with one ``np.packbits``, without a loop over planes or blocks.  The reader
+steps over each record's planes only to find where the next record starts;
+it then reads the exponent fields of a run of records in one array step,
+and :func:`_gather_digits` turns their coded planes into digit masks.
+:func:`_plane_starts` is the one place that places planes, so it also names
+a plane that the stream cuts off.  A block whose reconstruction is not a
+finite float64 makes ``decompress`` raise :class:`DecodeError` naming the
+first such block.
 """
 
 from __future__ import annotations
@@ -212,17 +216,63 @@ def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.nda
     return at
 
 
+def _mask_bytes(p: CodecParams) -> int:
+    """Bytes of one big-endian digit mask: 8 for uint64 masks, ceil((q + 2) / 8) for Python ints.
+
+    Bit 8 * width - 2 - q + j of a mask's bytes, MSB first, is plane j,
+    digit position q + 1 - j.
+    """
+    from .batch import _digit_type
+
+    return 8 if _digit_type(p) is np.uint64 else -(-(p.q + 2) // 8)
+
+
+def _mask_bits(digits: np.ndarray, p: CodecParams) -> np.ndarray:
+    """(m, beta, c) plane bits of an (m, c) array of digit masks.
+
+    Entry [i, j, k] is digit q + 1 - j of mask k of row i.  :func:`_masks`
+    is the inverse on the kept planes.
+    """
+    width = _mask_bytes(p)
+    if digits.dtype == object:
+        raw = np.frombuffer(b"".join(u.to_bytes(width, "big") for u in digits.flat), np.uint8)
+    else:
+        raw = np.ascontiguousarray(digits, dtype=">u8").view(np.uint8)
+    lo = 8 * width - 2 - p.q
+    # only the bytes that hold kept planes (at least one), copied as one item
+    # per mask so that a single flat unpackbits reads them all
+    first, last = lo // 8, max(-(-(lo + p.beta) // 8), lo // 8 + 1)
+    held = np.ascontiguousarray(raw.reshape(-1, width)[:, first:last].view(f"V{last - first}"))
+    bits = np.unpackbits(held.view(np.uint8)).reshape(digits.shape + (8 * (last - first),))
+    lo -= 8 * first
+    return bits[:, :, lo:lo + p.beta].transpose(0, 2, 1)
+
+
+def _masks(planes: np.ndarray, p: CodecParams) -> np.ndarray:
+    """(m, n) digit masks (see :func:`.batch._digit_type`) of (m, beta, n) plane bits."""
+    width = _mask_bytes(p)
+    m = len(planes)
+    digit = np.zeros((m, p.n, 8 * width), dtype=np.uint8)
+    lo = 8 * width - 2 - p.q
+    digit[:, :, lo:lo + p.beta] = planes.transpose(0, 2, 1)
+    raw = np.packbits(digit, axis=2)  # (m, n, width): each mask's big-endian bytes
+    if width == 8:  # uint64 masks; Python-int masks are at least 9 bytes
+        return raw.view(">u8").reshape(m, p.n).astype(np.uint64)
+    blob = raw.tobytes()
+    return np.array([int.from_bytes(blob[i:i + width], "big") for i in range(0, len(blob), width)],
+                    dtype=object).reshape(m, p.n)
+
+
 def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: int,
                    blocks: np.ndarray | None = None) -> np.ndarray:
     """Digit masks of the records whose first plane test bit is at ``pos`` in ``stream``.
 
-    Plane j of a record is digit position q + 1 - j.  Returns one row of n
-    masks per record (see :func:`.batch._digit_type`).  Raises DecodeError
-    for the first record, named ``blocks[i]``, whose planes run past the
-    ``limit`` stream bits, and the first of its planes that does.
+    ``stream`` is from :func:`_stream_bits`, so it ends in at least n zero
+    bits.  Plane j of a record is digit position q + 1 - j.  Returns one row
+    of n masks per record (see :func:`_masks`).  Raises DecodeError for the
+    first record, named ``blocks[i]``, whose planes run past the ``limit``
+    stream bits, and the first of its planes that does.
     """
-    from .batch import _digit_type
-
     at = _plane_starts(stream, pos, p)
     cut = at[-1] > limit
     if cut.any():
@@ -230,17 +280,11 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
         raise DecodeError("stream ends inside plane payload",
                           block=None if blocks is None else int(blocks[i]),
                           plane=int(np.count_nonzero(at[1:, i] <= limit)))
-    # (beta, records, 1 + n): each plane's test bit and the n bits after it, read
-    # through a read-only view whose row i is stream[i:i + 1 + n]
-    window = as_strided(stream, (len(stream) - p.n, 1 + p.n), (1, 1), writeable=False)
-    plane = window[at[:-1]]
-    plane[..., 1:] *= plane[..., :1]  # an empty plane has no digits
-    # one byte per digit position of each mask, most significant first, in whole bytes
-    width = -(-(p.q + 2) // 8) * 8
-    digit = np.zeros((len(pos), p.n, width), dtype=np.uint8)
-    digit[:, :, width - 2 - p.q:width - 2 - p.q + p.beta] = plane[..., 1:].transpose(1, 2, 0)
-    byte = np.array([1 << 8 * k for k in reversed(range(width // 8))], dtype=_digit_type(p))
-    return np.packbits(digit, axis=2) @ byte  # each mask's big-endian bytes as one int
+    # a coded plane's n digits follow its test bit; an empty plane reads the zero tail
+    start = np.where(stream[at[:-1]], at[:-1] + 1, len(stream) - p.n)
+    # row i of this read-only view is stream[i:i + n]
+    window = as_strided(stream, (len(stream) - p.n + 1, p.n), (1, 1), writeable=False)
+    return _masks(window[start.T], p)  # (records, beta, n) plane bits
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
@@ -268,37 +312,43 @@ def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
                    p: CodecParams, b_e: int) -> bytes:
     """Records of consecutive blocks; ``digits``, ``stored`` have a row per ``live`` block.
 
-    ``digits`` rows are digit masks as uint64 or Python ints (see :func:`.batch._digit_type`).
+    ``digits`` rows are digit masks as uint64 or Python ints (see
+    :func:`.batch._digit_type`).  Row r of one bit matrix holds every bit
+    record r could have: zero flag, exponent field, each plane's test bit
+    and n digits, and 7 pad bits.  A keep mask drops the digits of empty
+    planes, the pad bits past the record's last byte and everything after
+    a zero block's first byte; one ``np.packbits`` of the kept bits is the
+    run's bytes.
     """
     n, beta = p.n, p.beta
-    if digits.dtype == object:
-        one, pos = 1, [p.q + 1 - j for j in range(beta)]
-    else:  # uint64 operands: a plain int shift would promote to float64 under NumPy 1.x
-        one, pos = np.uint64(1), [np.uint64(p.q + 1 - j) for j in range(beta)]
-    # plane j is coded when any coefficient has a digit at pos[j]
-    seen = np.bitwise_or.reduce(digits, axis=1)
-    ncoded = np.zeros(len(digits), dtype=digits.dtype)
-    for at in pos:
-        ncoded += (seen >> at) & one
-    size = np.ones(live.size, dtype=np.int64)
-    size[live] = (1 + b_e + beta + n * ncoded.astype(np.int64) + 7) // 8
-    start = 8 * (np.cumsum(size) - size)
-    bits = np.zeros(8 * int(size.sum()), dtype=np.uint8)
-    bits[start[~live]] = 1  # an all-zero block is its flag bit alone
-    at = start[live]
-    for shift in range(b_e - 1, -1, -1):  # the exponent field follows the zero flag
-        at += 1
-        bits[at] = (stored >> shift) & 1
-    at += 1
-    cols = np.arange(1, n + 1)
-    for j in range(beta):
-        coded = ((seen >> pos[j]) & one).astype(bool)
-        bits[at] = coded  # the plane's test bit, then its n bits if coded
-        hit = np.flatnonzero(coded)
-        if hit.size:
-            bits[at[hit, None] + cols] = (digits[hit] >> pos[j]) & one
-        at += 1 + n * coded
-    return np.packbits(bits).tobytes()
+    head, body = 1 + b_e, beta * (1 + n)
+    width = head + body + 7
+    rows = slice(None) if live.all() else np.flatnonzero(live)
+    bits = np.zeros((live.size, width), dtype=np.uint8)
+    keep = np.zeros((live.size, width), dtype=bool)
+    bits[~live, 0] = 1  # an all-zero block is its flag bit and 7 pad bits
+    keep[~live, :8] = True
+    bits[rows, 1:head] = np.unpackbits(stored.astype(">u4").view(np.uint8).reshape(-1, 4),
+                                       axis=1)[:, 32 - b_e:]
+    keep[rows, :head] = True
+    ncoded = 0
+    if beta:
+        # plane j of a block is coded when any of its masks has digit q + 1 - j
+        coded = _mask_bits(np.bitwise_or.reduce(digits, axis=1)[:, None], p)[:, :, 0].view(bool)
+        record = bits[:, head:head + body].reshape(live.size, beta, 1 + n)
+        record[rows, :, 0] = coded
+        record[rows, :, 1:] = _mask_bits(digits, p)
+        keep[rows, head:head + body] = np.repeat(coded, 1 + n, axis=1)
+        keep[rows, head:head + body:1 + n] = True  # every test bit
+        ncoded = np.count_nonzero(coded, axis=1)[:, None]
+    keep[rows, width - 7:] = np.arange(7) < -(head + beta + n * ncoded) % 8
+    return np.packbits(bits[keep]).tobytes()
+
+
+def check_exponent_bits(b_e: int) -> None:
+    """Raise ParamError unless ``b_e`` is an exponent field width that containers hold."""
+    if b_e not in _EXPONENT_BITS_RANGE:
+        raise ParamError(f"b_e must be in [2, 32], got {b_e}")
 
 
 def compress(grid, params: CodecParams, b_e: int | None = None) -> bytes:
@@ -314,8 +364,8 @@ def compress(grid, params: CodecParams, b_e: int | None = None) -> bytes:
         raise GridShapeError("empty grid")
     if not np.isfinite(grid).all():
         raise ValueError("grid contains NaN or infinity; only finite values compress")
-    if b_e is not None and b_e not in _EXPONENT_BITS_RANGE:
-        raise ParamError(f"b_e must be in [2, 32], got {b_e}")
+    if b_e is not None:
+        check_exponent_bits(b_e)
     from . import batch  # imported on first use: `import zfpkit` does not load it
 
     blocks = _block_array(grid)

@@ -150,6 +150,34 @@ def test_grids_spanning_several_runs_of_blocks(shape, k, q):
             decompress(damaged)
 
 
+# each shape spans three runs of batch.chunk_rows blocks, the last one partial,
+# and its run 1 is the value slab zeroed below (ragged slowest axis)
+MULTI_RUN = {1: ((9001,), slice(4096, 8192)), 2: ((150, 64), slice(64, 128)),
+             3: ((41, 16, 16), slice(16, 32))}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [30, 62, 80])
+@pytest.mark.parametrize("beta_kind", ["zero", "small", "max"])
+def test_runs_with_a_zero_run_and_a_partial_run(d, q, beta_kind):
+    from zfpkit.codec.blocks import _block_array
+
+    beta = {"zero": 0, "small": 3, "max": q - 2 * d + 2}[beta_kind]
+    p = CodecParams(d, K_FOR_Q[q], q, beta)
+    shape, zero = MULTI_RUN[d]
+    grid = draw_grid(np.random.default_rng(10 * d + q), shape, "normal")
+    grid[zero] = 0.0
+    blocks, rows = _block_array(grid), batch.chunk_rows(p)
+    assert 2 * rows < len(blocks) < 3 * rows
+    assert not batch.block_exponents(blocks[rows:2 * rows])[0].any()
+    assert batch.block_exponents(blocks[2 * rows:])[0].all()
+    want = scalar_decode(grid, p)
+    for b_e in (11, 32):
+        data = compress(grid, p, b_e=b_e)
+        assert data == scalar_container(grid, p, b_e)
+        assert decompress(data).tobytes() == want.tobytes()
+
+
 def test_forward_keeps_its_range_checks(monkeypatch):
     from zfpkit.codec import NegabinaryRangeError, TransformOverflowError
 

@@ -172,6 +172,20 @@ class TestBoundsCommand:
         assert err.startswith("zfpkit: error: k and q must be >= 2")
 
 
+    @pytest.mark.parametrize("b_e", ["1", "33", "99"])
+    def test_exponent_width_outside_container_range_refused(self, capsys, b_e):
+        code, stdout, err = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",
+                                "--beta", "8", "--b-e", b_e)
+        assert code == 2 and stdout == ""
+        assert err == f"zfpkit: error: b_e must be in [2, 32], got {b_e}\n"
+
+    def test_exponent_width_at_container_limits_accepted(self, capsys):
+        for b_e in ("2", "32"):
+            code, stdout, _ = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",
+                                  "--beta", "8", "--b-e", b_e)
+            assert code == 0 and f"(b_e = {b_e})" in stdout
+
+
 class TestExperimentCommand:
     def test_default_sweep_exits_zero(self, capsys):
         code, stdout, _ = run(capsys, "experiment", "--trials", "5", "--seed", "1",
@@ -198,6 +212,12 @@ class TestExperimentCommand:
         lines = stdout.splitlines()
         assert lines[0] == "beta,max_block_err,K_beta,ratio"
         assert len(lines) == 3
+
+    def test_exponent_width_without_grid_refused(self, capsys):
+        code, stdout, err = run(capsys, "experiment", "--trials", "1", "--threads", "1",
+                                "--b-e", "11")
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and "--b-e applies only with --grid" in err
 
     def test_grid_dim_mismatch(self, tmp_path, capsys):
         src = tmp_path / "g.raw"

@@ -87,6 +87,46 @@ class TestPlaneCoder:
             decode_planes(cb, p9)
 
 
+MASK_QS = [9, 30, 62, 63, 80, 1024]
+
+
+class TestMaskLayout:
+    """The writer's plane bits and the reader's mask assembly are one layout."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(1, 3), q=st.sampled_from(MASK_QS), data=st.data())
+    def test_plane_bits_then_masks_give_the_truncated_masks(self, d, q, data):
+        from zfpkit.codec import batch
+        from zfpkit.codec.stream import _mask_bits, _masks
+
+        beta = data.draw(st.integers(0, q + 2))
+        p = CodecParams(d, 13, q, beta, allow_wide_beta=True)
+        rows = data.draw(st.integers(0, 3))
+        values = data.draw(st.lists(st.integers(0, (1 << (q + 2)) - 1),
+                                    min_size=rows * p.n, max_size=rows * p.n))
+        kind = batch._digit_type(p)
+        assert (kind is np.uint64) == (q <= 62)
+        digits = np.array(values, dtype=kind).reshape(rows, p.n)
+        planes = _mask_bits(digits, p)
+        assert planes.shape == (rows, beta, p.n)
+        for i, j, c in np.ndindex(planes.shape):
+            assert planes[i, j, c] == (values[i * p.n + c] >> (q + 1 - j)) & 1
+        masks = _masks(planes, p)
+        assert masks.dtype == digits.dtype and masks.shape == digits.shape
+        kept = ((1 << (q + 2)) - 1) ^ ((1 << (q + 2 - beta)) - 1)
+        assert masks.reshape(-1).tolist() == [v & kept for v in values]
+
+    @pytest.mark.parametrize("q", MASK_QS)
+    def test_empty_plane_last_in_the_stream_reads_zeros(self, q):
+        # plane 0 is coded (1 + 4 bits), planes 1-3 are empty: the payload is one
+        # byte whose last bit is the test bit of an empty plane
+        p = CodecParams(1, 13, q, 4)
+        nb = NegaBlock((0, 1 << (q + 1), 0, 0), 3)
+        cb = encode_planes(nb, p)
+        assert cb.payload_bits == 8 and cb.payload == bytes([0b10100000])
+        assert decode_planes(cb, p) == nb
+
+
 class TestContainer:
     def test_round_trip_ragged_2d(self):
         rng = np.random.default_rng(5)
