@@ -215,8 +215,8 @@ def _add_common_params(sp, with_beta=True):
     sp.add_argument("--allow-appendix-b", action="store_true",
                     help="permit beta in (q-2d+2, q+2] (looser bound applies)")
     sp.add_argument("--b-e", type=int, default=None,
-                    help="container exponent field width (default 11, or 12 when a "
-                         "block is subnormal; bounds takes 11)")
+                    help="container exponent field width, 2..32 (default 11, or 12 when "
+                         "a block is subnormal; bounds takes 11; experiment needs --grid)")
 
 
 def build_parser() -> argparse.ArgumentParser:
