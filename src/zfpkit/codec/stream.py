@@ -216,15 +216,16 @@ def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.nda
     return at
 
 
-def _mask_bytes(p: CodecParams) -> int:
-    """Bytes of one big-endian digit mask: 8 for uint64 masks, ceil((q + 2) / 8) for Python ints.
+def _mask_layout(p: CodecParams) -> tuple[int, int]:
+    """(width, lo): bytes of one big-endian digit mask, and the bit of plane 0 in them.
 
-    Bit 8 * width - 2 - q + j of a mask's bytes, MSB first, is plane j,
-    digit position q + 1 - j.
+    Masks are 8 bytes as uint64 and ceil((q + 2) / 8) bytes as Python ints.
+    Bit lo + j of a mask's bytes, MSB first, is plane j, digit position q + 1 - j.
     """
     from .batch import _digit_type
 
-    return 8 if _digit_type(p) is np.uint64 else -(-(p.q + 2) // 8)
+    width = 8 if _digit_type(p) is np.uint64 else -(-(p.q + 2) // 8)
+    return width, 8 * width - 2 - p.q
 
 
 def _mask_bits(digits: np.ndarray, p: CodecParams) -> np.ndarray:
@@ -233,12 +234,11 @@ def _mask_bits(digits: np.ndarray, p: CodecParams) -> np.ndarray:
     Entry [i, j, k] is digit q + 1 - j of mask k of row i.  :func:`_masks`
     is the inverse on the kept planes.
     """
-    width = _mask_bytes(p)
+    width, lo = _mask_layout(p)
     if digits.dtype == object:
         raw = np.frombuffer(b"".join(u.to_bytes(width, "big") for u in digits.flat), np.uint8)
     else:
         raw = np.ascontiguousarray(digits, dtype=">u8").view(np.uint8)
-    lo = 8 * width - 2 - p.q
     # only the bytes that hold kept planes (at least one), copied as one item
     # per mask so that a single flat unpackbits reads them all
     first, last = lo // 8, max(-(-(lo + p.beta) // 8), lo // 8 + 1)
@@ -250,10 +250,9 @@ def _mask_bits(digits: np.ndarray, p: CodecParams) -> np.ndarray:
 
 def _masks(planes: np.ndarray, p: CodecParams) -> np.ndarray:
     """(m, n) digit masks (see :func:`.batch._digit_type`) of (m, beta, n) plane bits."""
-    width = _mask_bytes(p)
+    width, lo = _mask_layout(p)
     m = len(planes)
     digit = np.zeros((m, p.n, 8 * width), dtype=np.uint8)
-    lo = 8 * width - 2 - p.q
     digit[:, :, lo:lo + p.beta] = planes.transpose(0, 2, 1)
     raw = np.packbits(digit, axis=2)  # (m, n, width): each mask's big-endian bytes
     if width == 8:  # uint64 masks; Python-int masks are at least 9 bytes
