@@ -121,6 +121,8 @@ def cmd_decompress(args) -> int:
 
 def cmd_bounds(args) -> int:
     if args.surface:
+        if args.b_e is not None:
+            raise ParamError("--b-e does not apply to --surface: the table has no rate column")
         d_range = _parse_int_list(args.d_range)
         beta_range = _parse_int_list(args.beta_range) if args.beta_range else tuple(range(1, 65))
         rows = B.kbeta_surface(d_range, beta_range, *_precision(args))

@@ -179,6 +179,12 @@ class TestBoundsCommand:
         assert code == 2 and stdout == ""
         assert err == f"zfpkit: error: b_e must be in [2, 32], got {b_e}\n"
 
+    def test_exponent_width_with_surface_refused(self, capsys):
+        code, stdout, err = run(capsys, "bounds", "--surface", "--b-e", "99",
+                                "--d-range", "1:1", "--beta-range", "2")
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and "--b-e does not apply to --surface" in err
+
     def test_exponent_width_at_container_limits_accepted(self, capsys):
         for b_e in ("2", "32"):
             code, stdout, _ = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",
