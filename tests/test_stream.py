@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -518,3 +518,112 @@ class TestDefaultExponentWidth:
         grid = np.array([1e-300, 2.0, -1.7976931348623157e308, 3.0, 0.0, 0.0, 0.0, 0.0])
         p = CodecParams(1, 53, 62, 40)
         assert compress(grid, p) == compress(grid, p, b_e=11)
+
+
+def loop_read_run(window, first, count, header, params):
+    """The container reader as one Python step per plane: the reference for ``_read_run``."""
+    from zfpkit.codec.stream import _MAX_BLOCK_EXPONENT, _gather_digits, _stream_bits
+
+    b_e = header.b_e
+    prologue = 1 + b_e
+    bits = _stream_bits(window, params)
+    limit = 8 * len(window)
+    planes_at = np.zeros(count, dtype=np.int64)
+    at = 0
+    for r in range(count):
+        if at >= limit or (not bits[at] and at + prologue > limit):
+            break
+        if bits[at]:
+            at += 8
+            continue
+        planes_at[r] = at = at + prologue
+        for _ in range(params.beta):
+            at += params.n + 1 if bits[at] else 1
+        at = (at + 7) & -8
+    else:
+        r = count
+    live = np.flatnonzero(planes_at)
+    stream = np.asarray(bits)
+    field = stream[planes_at[live, None] - np.arange(b_e, 0, -1)]
+    e_max = np.zeros(count, dtype=np.int64)
+    e_max[live] = field @ (1 << np.arange(b_e - 1, -1, -1)) - ((1 << (b_e - 1)) - 1)
+    over = e_max > _MAX_BLOCK_EXPONENT
+    if over.any():
+        i = int(over.argmax())
+        raise DecodeError(f"block exponent {e_max[i]} exceeds {_MAX_BLOCK_EXPONENT}, "
+                          "the largest exponent of a finite float64", block=first + i)
+    masks = _gather_digits(stream, planes_at[live], params, limit, first + live)
+    if r < count:
+        raise DecodeError("stream ends inside block prologue", block=first + r)
+    digits = np.zeros((count, params.n), dtype=masks.dtype)
+    digits[live] = masks
+    return e_max, digits, at // 8
+
+
+def read_outcome(reader, window, first, count, header, params):
+    """(e_max, digits, bytes read) as lists, or the DecodeError's (text, block, plane)."""
+    try:
+        e_max, digits, used = reader(window, first, count, header, params)
+    except DecodeError as e:
+        return "error", str(e), e.block, e.plane
+    return "ok", e_max.tolist(), digits.tolist(), used
+
+
+def reader_header(d, q, beta, b_e):
+    k = min(q - 1, 53)
+    return ArrayHeader(dims=(4,) * d, k=k, q=q, beta=beta, b_e=b_e,
+                       wide_beta=beta > q - 2 * d + 2)
+
+
+class TestReaderEquivalence:
+    """``_read_run`` against the per-plane reference on valid, cut and random windows."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.integers(min_value=1, max_value=3), st.sampled_from([9, 30, 62, 80]),
+           st.sampled_from(["zero", "one", "max", "wide"]), st.sampled_from([2, 11, 32]),
+           st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
+    def test_same_result_or_same_error(self, d, q, which, b_e, seed, data):
+        from zfpkit.codec.stream import _read_run
+
+        beta = {"zero": 0, "one": 1, "max": q - 2 * d + 2, "wide": q + 2}[which]
+        header = reader_header(d, q, beta, b_e)
+        p = header.params()
+        rng = np.random.default_rng(seed)
+        nblocks = data.draw(st.integers(min_value=1, max_value=6))
+        shape = (4 * nblocks,) + (4,) * (d - 1)
+        # magnitudes in [0.5, 4), so block exponents fit even a 2-bit field; some zero blocks
+        grid = rng.uniform(0.5, 4.0, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+        grid *= rng.integers(0, 2, size=(nblocks,) + (1,) * (d - 1)).repeat(4, axis=0)
+        grid *= rng.integers(0, 2, size=shape) if data.draw(st.booleans()) else 1
+        blob = compress(grid, p, b_e=b_e)
+        payload = blob[read_header(blob)[1]:]
+        kind = data.draw(st.sampled_from(["valid", "cut", "random"]))
+        first = data.draw(st.integers(min_value=0, max_value=1000))
+        count = data.draw(st.integers(min_value=1, max_value=nblocks))
+        if kind == "valid":
+            window = payload
+        elif kind == "cut":
+            window = payload[:data.draw(st.integers(min_value=0, max_value=len(payload)))]
+        else:
+            window = rng.integers(0, 256, size=data.draw(st.integers(0, len(payload) + 8)),
+                                  dtype=np.uint8).tobytes()
+            if data.draw(st.booleans()):  # mostly zero flags and empty planes
+                window = bytes(b & rng.integers(0, 256) for b in window)
+        want = read_outcome(loop_read_run, window, first, count, header, p)
+        event(f"{kind}: {want[0] if want[0] == 'ok' else ' '.join(want[1].split()[:4])}")
+        assert read_outcome(_read_run, window, first, count, header, p) == want
+
+    def test_widest_header_round_trips(self):
+        p = CodecParams(3, 53, 1024, 1026, allow_wide_beta=True)
+        rng = np.random.default_rng(3)
+        grid = rng.standard_normal((4, 4, 8)) * np.exp2(rng.integers(-40, 41, size=(4, 4, 8)))
+        grid[:, :, :4] = 0.0
+        blob = compress(grid, p)
+        out = decompress(blob)
+        assert np.array_equal(out[:, :, :4], grid[:, :, :4])
+        assert np.max(np.abs(out - grid)) <= 1e-12 * np.max(np.abs(grid))
+        from zfpkit.codec.stream import _read_run
+        header, offset = read_header(blob)
+        want = read_outcome(loop_read_run, blob[offset:], 0, 2, header, p)
+        assert want[0] == "ok" and want[-1] == len(blob) - offset
+        assert read_outcome(_read_run, blob[offset:], 0, 2, header, p) == want
