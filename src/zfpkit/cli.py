@@ -139,26 +139,30 @@ def cmd_bounds(args) -> int:
     tight_max = B.beta_default_max(args.d, args.q)
     kb = B.k_beta(inp, allow_out_of_regime=True)
     regime = "" if args.beta <= tight_max else f"  (outside beta <= {tight_max})"
-    print(f"K_beta      = {kb:.10g}{regime}")
+    # every line is computed before the first is printed, so a refused input prints nothing
+    lines = [f"K_beta      = {kb:.10g}{regime}"]
     if not B.k_beta_applies(args.d, args.q, args.beta):
-        print(f"B_beta      = {B.b_beta(inp):.10g}")
+        lines.append(f"B_beta      = {B.b_beta(inp):.10g}")
     if args.e_max is not None and args.e_min is not None:
         cw = B.componentwise_bound(inp, allow_out_of_regime=True)
-        print(f"comp bound  = {cw:.10g}  (rho = {args.e_max - args.e_min})")
+        lines.append(f"comp bound  = {cw:.10g}  (rho = {args.e_max - args.e_min})")
     if args.b is not None:
         if args.e_max is None:
             raise ParamError("an accuracy target needs --e-max as well as --b")
         try:
             beta_needed = B.beta_for_accuracy(inp)
-            print(f"beta for 2^-{args.b} accuracy at e_max={args.e_max}: {beta_needed}")
+            lines.append(f"beta for 2^-{args.b} accuracy at e_max={args.e_max}: {beta_needed}")
         except B.InfeasibleAccuracyError as e:
-            print(f"beta for 2^-{args.b} accuracy: infeasible ({e})")
+            lines.append(f"beta for 2^-{args.b} accuracy: infeasible ({e})")
     rate = B.rate_lower_bound(args.beta, args.d, b_e)
-    print(f"rate bound  >= {float(rate):.10g} bits/value (b_e = {b_e})")
+    lines.append(f"rate bound  >= {float(rate):.10g} bits/value (b_e = {b_e})")
+    print("\n".join(lines))
     return 0
 
 
 def cmd_experiment(args) -> int:
+    if args.threads is not None and args.threads < 1:
+        raise ParamError(f"--threads must be at least 1, got {args.threads}")
     k, q = _precision(args)
     if args.grid:
         if not args.dims:

@@ -33,9 +33,12 @@ array of plane bits: :func:`_mask_bits` unpacks the masks' big-endian bytes
 into it and :func:`_masks` packs it back.  :func:`_write_records` lays out
 every record of a run as a row of one bit matrix and packs the kept bits
 with one ``np.packbits``, without a loop over planes or blocks.  The reader
-steps over each record's planes only to find where the next record starts;
-it then reads the exponent fields of a run of records in one array step,
-and :func:`_gather_digits` turns their coded planes into digit masks.
+finds where each record of a run starts with one compiled regular
+expression, which states the record grammar (zero flag, exponent field,
+beta planes of a test bit and n digits if it is 1, pad to the byte) and
+steps over the planes in C (:func:`_record_starts`).  It then reads the
+exponent fields of the run in one array step, and :func:`_gather_digits`
+turns the coded planes into digit masks.
 :func:`_plane_starts` is the one place that places planes, so it also names
 a plane that the stream cuts off.  A block whose reconstruction is not a
 finite float64 makes ``decompress`` raise :class:`DecodeError` naming the
@@ -44,8 +47,11 @@ first such block.
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -192,14 +198,56 @@ def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
     return value, nbits
 
 
-def _stream_bits(payload: bytes, p: CodecParams) -> memoryview:
+def _stream_bits(payload: bytes, p: CodecParams) -> np.ndarray:
     """One byte per bit of ``payload``, MSB first, then zeros.
 
     A plane walk that starts inside the payload and runs past its end reads
     at most n + beta - 1 bits of the zeros.
     """
     pad = bytes((p.n + 1 + p.beta) // 8 + 1)
-    return memoryview(np.unpackbits(np.frombuffer(payload + pad, dtype=np.uint8)))
+    return np.unpackbits(np.frombuffer(payload + pad, dtype=np.uint8))
+
+
+_UNROLL = 16  # plane copies in the repeated group of a record pattern
+
+
+@lru_cache(maxsize=32)
+def _record_pattern(n: int, beta: int, b_e: int) -> re.Pattern:
+    """One record of a marked stream (see :func:`_record_starts`), or else all the rest.
+
+    A zero record is a byte's first bit set (3) and 7 more bits.  A nonzero
+    record is a byte's first bit clear (2), b_e exponent bits inside the
+    window, beta planes, and the pad bits up to the next byte's first bit.
+    A plane is a test bit, then n bits if the test bit is 1 or 3; a test bit
+    past the window (4) reads as 0, as the reader has always read it.  The
+    planes are unrolled in groups of ``_UNROLL``, which keeps the compile
+    time near a millisecond for every beta up to 1026.
+    """
+    plane = rb"(?:\x01.{%d}|\x00|\x03.{%d}|\x02|\x04)" % (n, n)
+    groups, rest = divmod(beta, _UNROLL)
+    planes = (b"(?:%s){%d}" % (plane * _UNROLL, groups) if groups else b"") + plane * rest
+    return re.compile(rb"\x03.{7}|\x02[\x00-\x03]{%d}%s[\x00\x01]*|.+" % (b_e, planes), re.S)
+
+
+def _record_starts(stream: np.ndarray, limit: int, count: int, p: CodecParams,
+                   b_e: int) -> np.ndarray:
+    """Bit positions of the first ``count`` records, then where the last of them ends.
+
+    ``stream`` is from :func:`_stream_bits`; its first ``limit`` bits are the
+    window.  Records start at bit 0 and follow each other.  The walk stops
+    early at a record that starts past the window or whose prologue the
+    window cuts; the last record walked may end past the window.  One
+    compiled pattern steps over the records, so no Python code runs per
+    plane or per record.  It reads a marked copy of the stream: a bit plus 2
+    on the first bit of each byte, and 4 past the window.
+    """
+    words = stream.view("<u8")  # the first bit of 8 is the low byte of a "<u8" word
+    marked = np.bitwise_or(words, 2, out=np.empty_like(words)).view(np.uint8)
+    marked[limit:] = 4
+    # each match starts where the last one ended: the catch-all matches where
+    # no record starts, and no record reaches the end of the padded stream
+    found = islice(_record_pattern(p.n, p.beta, b_e).finditer(marked), count + 1)
+    return np.fromiter(map(re.Match.start, found), dtype=np.int64)
 
 
 def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
@@ -302,7 +350,7 @@ def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
         raise DecodeError(f"record carries beta={cb.beta}, params say {p.beta}")
     if cb.zero_flag:
         return NegaBlock((0,) * p.n, None)
-    bits = np.asarray(_stream_bits(cb.payload, p))
+    bits = _stream_bits(cb.payload, p)
     digits = _gather_digits(bits, np.zeros(1, dtype=np.int64), p, 8 * len(cb.payload))
     return NegaBlock(tuple(digits[0].tolist()), cb.e_max)
 
@@ -395,32 +443,20 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
     Returns (e_max, digits, bytes read): e_max per block and a (count, n)
     array of digit masks (see :func:`_gather_digits`).  A zero block reads
     as e_max 0 with no digit, which decodes to zeros like any block without
-    one.
+    one.  :func:`_record_starts` walks the records with one pattern match
+    each; the exponent fields and the planes of the nonzero ones are then
+    read in array steps.
     """
     b_e = header.b_e
-    prologue = 1 + b_e
-    step = params.n + 1
-    bits = _stream_bits(window, params)
+    stream = _stream_bits(window, params)
     limit = 8 * len(window)
-    planes_at = np.zeros(count, dtype=np.int64)  # 0 for a zero block
-    at = 0
-    for r in range(count):  # step over each record to find where the next one starts
-        if at >= limit or (not bits[at] and at + prologue > limit):
-            break
-        if bits[at]:
-            at += 8
-            continue
-        planes_at[r] = at = at + prologue
-        for _ in range(params.beta):
-            at += step if bits[at] else 1
-        at = (at + 7) & -8
-    else:
-        r = count
+    at = _record_starts(stream, limit, count, params, b_e)
+    r = len(at) - 1  # records walked
+    live = np.flatnonzero(stream[at[:-1]] == 0)  # a zero block's flag is 1
+    planes_at = at[live] + 1 + b_e
     # faults of blocks before r, in block order: an exponent above the float64
     # range, then a cut plane (only block r - 1 can have one), then block r's cut prologue
-    live = np.flatnonzero(planes_at)
-    stream = np.asarray(bits)
-    field = stream[planes_at[live, None] - np.arange(b_e, 0, -1)]  # (live, b_e), MSB first
+    field = stream[planes_at[:, None] - np.arange(b_e, 0, -1)]  # (live, b_e), MSB first
     e_max = np.zeros(count, dtype=np.int64)
     e_max[live] = field @ (1 << np.arange(b_e - 1, -1, -1)) - ((1 << (b_e - 1)) - 1)
     over = e_max > _MAX_BLOCK_EXPONENT
@@ -428,12 +464,12 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
         i = int(over.argmax())
         raise DecodeError(f"block exponent {e_max[i]} exceeds {_MAX_BLOCK_EXPONENT}, "
                           "the largest exponent of a finite float64", block=first + i)
-    masks = _gather_digits(stream, planes_at[live], params, limit, first + live)
+    masks = _gather_digits(stream, planes_at, params, limit, first + live)
     if r < count:
         raise DecodeError("stream ends inside block prologue", block=first + r)
     digits = np.zeros((count, params.n), dtype=masks.dtype)
     digits[live] = masks
-    return e_max, digits, at // 8
+    return e_max, digits, int(at[-1]) // 8
 
 
 def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecParams,

@@ -621,7 +621,9 @@ def _run_cell_packed(args):
 
 def thread_budget(requested: int | None = None) -> int:
     """Worker count: requested (or cpu count), capped by ZFPKIT_THREADS."""
-    n = requested if requested else (os.cpu_count() or 1)
+    if requested is not None and requested < 1:
+        raise ValueError(f"threads must be at least 1, got {requested}")
+    n = requested or os.cpu_count() or 1
     cap = os.environ.get("ZFPKIT_THREADS")
     if cap:
         try:

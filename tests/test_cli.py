@@ -185,6 +185,16 @@ class TestBoundsCommand:
         assert code == 2 and stdout == ""
         assert err.count("\n") == 1 and "--b-e does not apply to --surface" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--e-max", "3", "--e-min", "5"), "e_max < e_min"),
+        (("--b", "10",), "an accuracy target needs --e-max"),
+    ])
+    def test_refused_input_prints_no_partial_table(self, capsys, argv, message):
+        code, stdout, err = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",
+                                "--beta", "8", *argv)
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and message in err
+
     def test_exponent_width_at_container_limits_accepted(self, capsys):
         for b_e in ("2", "32"):
             code, stdout, _ = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",
@@ -224,6 +234,18 @@ class TestExperimentCommand:
                                 "--b-e", "11")
         assert code == 2 and stdout == ""
         assert err.count("\n") == 1 and "--b-e applies only with --grid" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_refused_before_any_sweep(self, capsys, monkeypatch, threads):
+        import zfpkit.cli as cli
+
+        def no_sweep(spec, threads=None):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(cli.X, "sweep", no_sweep)
+        code, stdout, err = run(capsys, "experiment", "--trials", "1", "--threads", threads)
+        assert code == 2 and stdout == ""
+        assert err == f"zfpkit: error: --threads must be at least 1, got {threads}\n"
 
     def test_grid_dim_mismatch(self, tmp_path, capsys):
         src = tmp_path / "g.raw"

@@ -224,6 +224,12 @@ class TestSweep:
         parallel, _ = sweep(spec, threads=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_worker_count_below_one_refused(self, threads):
+        spec = WorstCaseSpec(d=1, k=53, q=62, betas=(8, 24), rhos=(0,), trials=1, seed=3)
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            sweep(spec, threads=threads)
+
     def test_import_loads_no_process_pool(self):
         # the pool modules load only when a sweep runs on several workers
         import zfpkit
