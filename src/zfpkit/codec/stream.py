@@ -237,9 +237,9 @@ def _record_starts(stream: np.ndarray, limit: int, count: int, p: CodecParams,
     window.  Records start at bit 0 and follow each other.  The walk stops
     early at a record that starts past the window or whose prologue the
     window cuts; the last record walked may end past the window.  One
-    compiled pattern steps over the records, so no Python code runs per
-    plane or per record.  It reads a marked copy of the stream: a bit plus 2
-    on the first bit of each byte, and 4 past the window.
+    compiled pattern steps over the records and their planes; Python only
+    collects where each match starts.  It reads a marked copy of the stream:
+    a bit plus 2 on the first bit of each byte, and 4 past the window.
     """
     words = stream.view("<u8")  # the first bit of 8 is the low byte of a "<u8" word
     marked = np.bitwise_or(words, 2, out=np.empty_like(words)).view(np.uint8)
@@ -247,7 +247,7 @@ def _record_starts(stream: np.ndarray, limit: int, count: int, p: CodecParams,
     # each match starts where the last one ended: the catch-all matches where
     # no record starts, and no record reaches the end of the padded stream
     found = islice(_record_pattern(p.n, p.beta, b_e).finditer(marked), count + 1)
-    return np.fromiter(map(re.Match.start, found), dtype=np.int64)
+    return np.array([m.start() for m in found], dtype=np.int64)
 
 
 def _plane_starts(stream: np.ndarray, pos: np.ndarray, p: CodecParams) -> np.ndarray:
@@ -453,7 +453,7 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
     at = _record_starts(stream, limit, count, params, b_e)
     r = len(at) - 1  # records walked
     live = np.flatnonzero(stream[at[:-1]] == 0)  # a zero block's flag is 1
-    planes_at = at[live] + 1 + b_e
+    planes_at = at[live] + (1 + b_e)
     # faults of blocks before r, in block order: an exponent above the float64
     # range, then a cut plane (only block r - 1 can have one), then block r's cut prologue
     field = stream[planes_at[:, None] - np.arange(b_e, 0, -1)]  # (live, b_e), MSB first

@@ -26,6 +26,7 @@ from zfpkit.codec import (
     partition,
     read_header,
 )
+from zfpkit.codec.stream import _MAX_BLOCK_EXPONENT, _gather_digits, _read_run, _stream_bits
 
 
 def roundtrip_planes(nb, p):
@@ -522,11 +523,9 @@ class TestDefaultExponentWidth:
 
 def loop_read_run(window, first, count, header, params):
     """The container reader as one Python step per plane: the reference for ``_read_run``."""
-    from zfpkit.codec.stream import _MAX_BLOCK_EXPONENT, _gather_digits, _stream_bits
-
     b_e = header.b_e
     prologue = 1 + b_e
-    bits = _stream_bits(window, params)
+    bits = memoryview(_stream_bits(window, params))
     limit = 8 * len(window)
     planes_at = np.zeros(count, dtype=np.int64)
     at = 0
@@ -583,8 +582,6 @@ class TestReaderEquivalence:
            st.sampled_from(["zero", "one", "max", "wide"]), st.sampled_from([2, 11, 32]),
            st.integers(min_value=0, max_value=2 ** 32 - 1), st.data())
     def test_same_result_or_same_error(self, d, q, which, b_e, seed, data):
-        from zfpkit.codec.stream import _read_run
-
         beta = {"zero": 0, "one": 1, "max": q - 2 * d + 2, "wide": q + 2}[which]
         header = reader_header(d, q, beta, b_e)
         p = header.params()
@@ -607,7 +604,7 @@ class TestReaderEquivalence:
         else:
             window = rng.integers(0, 256, size=data.draw(st.integers(0, len(payload) + 8)),
                                   dtype=np.uint8).tobytes()
-            if data.draw(st.booleans()):  # mostly zero flags and empty planes
+            if data.draw(st.booleans()):  # sparse bits: nonzero records of empty planes
                 window = bytes(b & rng.integers(0, 256) for b in window)
         want = read_outcome(loop_read_run, window, first, count, header, p)
         event(f"{kind}: " + ("ok" if want[0] == "ok" else next(
@@ -623,7 +620,6 @@ class TestReaderEquivalence:
         out = decompress(blob)
         assert np.array_equal(out[:, :, :4], grid[:, :, :4])
         assert np.max(np.abs(out - grid)) <= 1e-12 * np.max(np.abs(grid))
-        from zfpkit.codec.stream import _read_run
         header, offset = read_header(blob)
         want = read_outcome(loop_read_run, blob[offset:], 0, 2, header, p)
         assert want[0] == "ok" and want[-1] == len(blob) - offset
