@@ -221,31 +221,26 @@ def decode_blocks(e_max: np.ndarray, digits: np.ndarray, p: CodecParams) -> np.n
     :func:`_digit_type`).  A block without a digit decodes to zeros.
     Values beyond the float64 range come back as inf.
     """
-    n, q = p.n, p.q
-    values = np.zeros((len(digits), n))
+    values = np.zeros((len(digits), p.n))
     live = np.flatnonzero(digits.any(axis=1))
-    if q > MAX_Q:
-        for r in live.tolist():
-            values[r] = scalar_values(digits[r].tolist(), int(e_max[r]), p)
-        return values
-    if not live.size:
-        return values
-    digits = digits[live]
-    even = digits & np.uint64(_EVEN)
-    odd = digits & np.uint64(_ODD)
-    v = (even - odd).view(np.int64)
-    # the value even - odd is below -2**63 exactly when the int64 result is not negative
-    wrapped = ((odd > even) & (v >= 0)).any(axis=1)
-    v = v[:, _perm(p.d, True)]
-    wrapped |= _lift_inverse(v, p)
-    # |v| as uint64 is exact even for -2**63
-    mag = np.abs(v).view(np.uint64)
-    drop = np.maximum(_bit_length(mag) - p.k, 0).astype(np.uint64)
-    mag = ((mag >> drop) << drop).astype(np.float64)
-    ell = np.clip(e_max[live] - q + 1, -4096, 4096)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(np.where(v < 0, -mag, mag), ell[:, None])
-    for r in np.flatnonzero(wrapped):
-        out[r] = scalar_values(digits[r].tolist(), int(e_max[live[r]]), p)
-    values[live] = out
+    scalar = live  # the rows the array path cannot take: every live row above MAX_Q
+    if p.q <= MAX_Q and live.size:
+        held = digits[live]
+        even = held & np.uint64(_EVEN)
+        odd = held & np.uint64(_ODD)
+        v = (even - odd).view(np.int64)
+        # the value even - odd is below -2**63 exactly when the int64 result is not negative
+        wrapped = ((odd > even) & (v >= 0)).any(axis=1)
+        v = v[:, _perm(p.d, True)]
+        wrapped |= _lift_inverse(v, p)
+        # |v| as uint64 is exact even for -2**63
+        mag = np.abs(v).view(np.uint64)
+        drop = np.maximum(_bit_length(mag) - p.k, 0).astype(np.uint64)
+        mag = ((mag >> drop) << drop).astype(np.float64)
+        ell = np.clip(e_max[live] - p.q + 1, -4096, 4096)
+        with np.errstate(over="ignore"):
+            values[live] = np.ldexp(np.where(v < 0, -mag, mag), ell[:, None])
+        scalar = live[wrapped]
+    for r in scalar.tolist():
+        values[r] = scalar_values(digits[r].tolist(), int(e_max[r]), p)
     return values

@@ -99,8 +99,6 @@ class ArrayHeader:
     beta: int
     b_e: int = DEFAULT_EXPONENT_BITS
     wide_beta: bool = False
-    version: int = VERSION
-    magic: bytes = MAGIC
 
     @property
     def d(self) -> int:
@@ -118,7 +116,7 @@ class ArrayHeader:
 def _pack_header(h: ArrayHeader) -> bytes:
     out = bytearray(MAGIC)
     flags = _FLAG_WIDE_BETA if h.wide_beta else 0
-    out += struct.pack("<BBHHHBB", h.version, h.d, h.k, h.q, h.beta, h.b_e, flags)
+    out += struct.pack("<BBHHHBB", VERSION, h.d, h.k, h.q, h.beta, h.b_e, flags)
     out += struct.pack(f"<{h.d}I", *h.dims)
     return bytes(out)
 
@@ -143,7 +141,7 @@ def read_header(data: bytes) -> tuple[ArrayHeader, int]:
     if any(n < 1 for n in dims):
         raise ContainerError(f"non-positive dims {dims}")
     header = ArrayHeader(dims=tuple(dims), k=k, q=q, beta=beta, b_e=b_e,
-                         wide_beta=bool(flags & _FLAG_WIDE_BETA), version=version)
+                         wide_beta=bool(flags & _FLAG_WIDE_BETA))
     try:
         header.params()
     except ParamError as e:
@@ -330,6 +328,10 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
         raise DecodeError("stream ends inside plane payload",
                           block=None if blocks is None else int(blocks[i]),
                           plane=int(np.count_nonzero(at[1:, i] <= limit)))
+    if not p.beta:
+        from .batch import _digit_type
+
+        return np.zeros((len(pos), p.n), dtype=_digit_type(p))
     # a coded plane's n digits follow its test bit; an empty plane reads the zero tail
     start = np.where(stream[at[:-1]], at[:-1] + 1, len(stream) - p.n)
     # row i of this read-only view is stream[i:i + n]

@@ -14,11 +14,13 @@ changes a stream.
 
 :func:`measure` is the specification of one trial.  Sweeps round-trip a
 run of trials at once through the batch stages of :mod:`.codec.batch`,
-and grid analysis reads its own container; both then compare blocks with
-one vectorised check, :func:`_clear_rows`, which clears a block only where
-float bounds rounded outward prove it within the bound, and reports the
-same floats as :func:`measure`.  Every block it cannot clear is measured
-exactly, one at a time.
+and grid analysis reads its own container; both then judge every block
+with one exact check, :func:`_check_run`.  Its float filter,
+:func:`_clear_rows`, clears a block only where float bounds rounded
+outward prove it within the bound, and reports the same floats as
+:func:`measure`; every block it cannot clear is compared in exact ints on
+the values the batch decoded.  A sweep calls :func:`measure` only to
+record a trial that violates the bound.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from .bounds import BoundInputs, b_beta_exact, k_beta_applies, k_beta_exact
 from .codec import (
     CodecParams,
     GridShapeError,
-    NegabinaryRangeError,
-    TransformOverflowError,
     compress,
     compress_block,
     decompress_block,
@@ -418,7 +418,8 @@ def measure(values: Sequence[float], p: CodecParams,
 
     e_min/e_max scope the componentwise bound; when omitted they are
     derived from the block's own bit positions.  Violation flags come from
-    exact integer comparisons, never from the reported floats.
+    exact integer comparisons, never from the reported floats.  A block that
+    decodes beyond the float64 range raises ValueError.
     """
     values = [float(v) for v in values]
     if not any(values):
@@ -428,8 +429,12 @@ def measure(values: Sequence[float], p: CodecParams,
     rho = e_max - e_min
     if bound is None:
         bound = applicable_bound_exact(p)
-    err_block, err_comp, violation = _exact_errors(
-        values, decompress_block(compress_block(values, p), p)[1], bound, rho)
+    nb = compress_block(values, p)
+    try:
+        decoded = decompress_block(nb, p)[1]
+    except OverflowError:
+        raise ValueError("block decodes beyond the float64 range") from None
+    err_block, err_comp, violation = _exact_errors(values, decoded, bound, rho)
     return ExperimentRecord(
         d=p.d, k=p.k, q=p.q, beta=p.beta, e_min=e_min, e_max=e_max,
         seed=seed, trial=trial,
@@ -538,37 +543,45 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
     return clear, err_block, err_comp
 
 
+def _check_run(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None):
+    """(err_block, err_comp, violation) per row of blocks ``xs`` decoded to ``ws``.
+
+    The floats and verdicts of :func:`_exact_errors`: :func:`_clear_rows`
+    clears what it can, and every other row is compared in exact ints.
+    """
+    clear, err_block, err_comp = _clear_rows(xs, ws, bound, rho)
+    violation = np.zeros(len(xs), dtype=bool)
+    for r in np.flatnonzero(~clear).tolist():
+        err_block[r], err_comp[r], violation[r] = _exact_errors(
+            xs[r].tolist(), ws[r].tolist(), bound, rho)
+    return err_block, err_comp, violation
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
 
-def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray | None:
+def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
     """Decoded values of the rows of ``blocks`` through the batch stages, for every q.
 
-    Rows that are all zero or not finite come back as zeros, which
-    :func:`_clear_rows` never clears.  None when the batch forward stage
-    raises: then :func:`measure` takes every row of the run, and the first
-    failing trial raises its own error.
+    Values beyond the float64 range come back as inf; the batch forward
+    stage raises as the scalar stages do.
     """
     from .codec import batch
 
-    blocks = np.where(np.isfinite(blocks).all(axis=1)[:, None], blocks, 0.0)
     live, e_max = batch.block_exponents(blocks)
-    try:
-        digits = batch.forward(blocks, live, e_max, p)
-    except (TransformOverflowError, NegabinaryRangeError):
-        return None
     out = np.zeros_like(blocks)
-    out[live] = batch.decode_blocks(e_max, digits, p)
+    out[live] = batch.decode_blocks(e_max, batch.forward(blocks, live, e_max, p), p)
     return out
 
 
 def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
     """One cell, a run of :func:`.codec.batch.chunk_rows` trials at a time.
 
-    Trials :func:`_clear_rows` cannot clear go to :func:`measure`, and only
-    those become ExperimentRecords.  Sums run in trial order, so the cell
-    equals a per-trial loop over :func:`measure` bit for bit.
+    :func:`_check_run` judges every trial, and only a violating trial goes
+    to :func:`measure` for its ExperimentRecord.  Sums run in trial order,
+    so the cell equals a per-trial loop over :func:`measure` bit for bit.
+    A trial that decodes beyond the float64 range raises ValueError.
     """
     from .codec import batch
 
@@ -587,19 +600,15 @@ def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
                                              trial_rng(spec.seed, cell_index, first + r),
                                              spec.float32)
         out = _round_trip(blocks, p)
-        if out is None:
-            clear = np.zeros(len(blocks), dtype=bool)
-            err_block = err_comp = np.zeros(len(blocks))
-        else:
-            clear, err_block, err_comp = _clear_rows(blocks, out, bound, rho)
-        run = list(zip(err_block.tolist(), err_comp.tolist()))
-        for r in np.flatnonzero(~clear).tolist():
-            rec = measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
-                          seed=spec.seed, trial=first + r, bound=bound)
-            run[r] = (rec.err_block, rec.err_comp)
-            if rec.violation:
-                violators.append(rec)
-        errs += run
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"trial {first + int(finite.argmin())} of the cell rho={rho}, "
+                             f"beta={beta} decodes beyond the float64 range")
+        err_block, err_comp, violation = _check_run(blocks, out, bound, rho)
+        violators += [measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
+                              seed=spec.seed, trial=first + r, bound=bound)
+                      for r in np.flatnonzero(violation).tolist()]
+        errs += zip(err_block.tolist(), err_comp.tolist())
     blk_sum = cmp_sum = 0.0
     for b, c in errs:
         blk_sum += b
@@ -709,8 +718,7 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
     range), a run of :func:`.codec.batch.chunk_rows` blocks at a time.  The
     bound column carries the constant that applies to each beta (the loose
     one in the wide regime).  Violations are counted with exact arithmetic
-    and should always be zero: blocks that :func:`_clear_rows` cannot clear
-    are compared in exact ints one at a time.  ``b_e`` goes to
+    and should always be zero (:func:`_check_run`).  ``b_e`` goes to
     :func:`.codec.compress`, where None picks the exponent field width.
     """
     from .codec import batch
@@ -731,13 +739,10 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
         violations = 0
         step = batch.chunk_rows(p)
         for first in range(0, len(xs), step):
-            x, w = xs[first:first + step], ws[first:first + step]
-            clear, err_block, _ = _clear_rows(x, w, bound, None)
+            err_block, _, violation = _check_run(xs[first:first + step], ws[first:first + step],
+                                                 bound, None)
             worst = max(worst, float(err_block.max()))
-            for r in np.flatnonzero(~clear).tolist():
-                err, _, violation = _exact_errors(x[r].tolist(), w[r].tolist(), bound, None)
-                violations += violation
-                worst = max(worst, err)
+            violations += int(np.count_nonzero(violation))
         rows.append(GridAnalysisRow(beta=beta, max_block_err=worst,
                                     k_beta=float(bound),
                                     ratio=raw_bytes / len(payload),

@@ -294,6 +294,13 @@ class TestOneLineErrors:
         assert code == 2 and stdout == ""
         assert stderr.count("\n") == 1 and "float32 draws need e_min >= -149" in stderr
 
+    def test_sweep_decoding_beyond_float64(self, capsys):
+        code, stdout, stderr = run(capsys, "experiment", "--e-min", "1022", "--rho-list", "1",
+                                   "--beta-range", "2", "--trials", "20", "--threads", "1")
+        assert code == 2 and stdout == ""
+        assert stderr.count("\n") == 1 and "Traceback" not in stderr
+        assert "trial 1 of the cell rho=1, beta=2" in stderr and "float64 range" in stderr
+
 
 class TestSubnormalGrid:
     def test_compress_and_grid_analysis_take_the_wider_field(self, tmp_path, capsys):

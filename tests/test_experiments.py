@@ -283,6 +283,18 @@ class TestSweep:
         assert violators == [] and cells[0].err_block_max > 0.0
         assert calls == []
 
+    def test_trial_decoding_beyond_float64_raises_value_error(self):
+        # e_min + rho = 1023 is in range, but at beta = 2 trial 1 of this cell
+        # reconstructs past the float64 maximum; trial 0 does not
+        spec = WorstCaseSpec(d=1, k=53, q=62, betas=(2,), rhos=(1,), e_min=1022, trials=20)
+        with pytest.raises(ValueError, match=r"^trial 1 of the cell rho=1, beta=2 decodes "
+                                             r"beyond the float64 range$"):
+            sweep(spec, threads=1)
+        p = CodecParams(1, 53, 62, 2)
+        measure(gen_worst_case_block(1, 1022, 1023, trial_rng(0, 0, 0)), p)
+        with pytest.raises(ValueError, match="float64 range"):
+            measure(gen_worst_case_block(1, 1022, 1023, trial_rng(0, 0, 1)), p)
+
     def test_componentwise_error_grows_with_rho(self):
         spec = WorstCaseSpec(d=2, k=24, q=30, betas=(12,), rhos=(0, 14),
                              trials=300, seed=10, float32=True)

@@ -92,6 +92,18 @@ def test_sweep_cells_and_violators_are_pinned():
     assert sweep_digest() == SWEEP_DIGEST
 
 
+def test_exact_path_alone_gives_the_pinned_numbers(monkeypatch):
+    # the float filter clears nothing, so every block is compared in exact ints
+    from zfpkit import experiments
+
+    def clear_nothing(xs, ws, bound, rho):
+        return np.zeros(len(xs), dtype=bool), np.zeros(len(xs)), np.zeros(len(xs))
+
+    monkeypatch.setattr(experiments, "_clear_rows", clear_nothing)
+    assert grid_digest() == GRID_DIGEST
+    assert sweep_digest() == SWEEP_DIGEST
+
+
 
 # ---------------------------------------------------------------------------
 # sweep equals a per-trial loop over measure
