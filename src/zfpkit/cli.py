@@ -83,6 +83,12 @@ def _precision(args) -> tuple[int, int]:
             args.q if args.q is not None else q_default)
 
 
+def _default_betas(candidates: tuple[int, ...], d: int, q: int) -> tuple[int, ...]:
+    """The candidates up to beta_default_max(d, q), and that maximum (at least 1)."""
+    top = B.beta_default_max(d, q)
+    return tuple(sorted({b for b in candidates if b <= top} | {max(top, 1)}))
+
+
 def _build_params(args, d: int) -> CodecParams:
     k, q = _precision(args)
     beta = args.beta if args.beta is not None else max(B.beta_default_max(d, q), 0)
@@ -169,8 +175,8 @@ def cmd_experiment(args) -> int:
             raise GridShapeError("--grid needs --dims")
         dims = _parse_dims(args.dims)
         grid = X.load_raw_grid(args.grid, dims, args.scalar)
-        betas = _parse_int_list(args.beta_range) if args.beta_range else (
-            tuple(sorted({2, 4, 8, 16, B.beta_default_max(len(dims), q)})))
+        betas = (_parse_int_list(args.beta_range) if args.beta_range
+                 else _default_betas((2, 4, 8, 16), len(dims), q))
         rows = X.analyze_grid(grid, k, q, betas, _SCALAR_BYTES[args.scalar],
                               allow_wide_beta=args.allow_appendix_b, b_e=args.b_e)
         buf = io.StringIO()
@@ -184,9 +190,8 @@ def cmd_experiment(args) -> int:
     if args.b_e is not None:
         raise ParamError("--b-e applies only with --grid: a sweep writes no container")
     d = args.d if args.d is not None else 1
-    tight_max = B.beta_default_max(d, q)
-    betas = _parse_int_list(args.beta_range) if args.beta_range else (
-        tuple(sorted({b for b in (8, 16, 32, 48) if b <= tight_max} | {max(tight_max, 1)})))
+    betas = (_parse_int_list(args.beta_range) if args.beta_range
+             else _default_betas((8, 16, 32, 48), d, q))
     rhos = _parse_int_list(args.rho_list)
     spec = X.WorstCaseSpec(d=d, k=k, q=q, betas=betas, rhos=rhos, e_min=args.e_min or 0,
                            trials=args.trials, seed=args.seed,

@@ -39,8 +39,6 @@ def _block_array(grid: np.ndarray) -> np.ndarray:
     """
     grid = np.asarray(grid, dtype=np.float64)
     dims = _check_dims(grid.shape)
-    if grid.size == 0:
-        raise GridShapeError("empty grid")
     pad = [(0, (-n) % 4) for n in dims]
     if any(p for _, p in pad):
         grid = np.pad(grid, pad, mode="edge")

@@ -205,8 +205,6 @@ def transform_forward(fp: BlockFP, p: CodecParams) -> BlockFP:
     earlier axis in turn; the inverse walks axes in the opposite order.
     Intermediates are checked against the q+1-bit guard envelope.
     """
-    if fp.is_zero:
-        return fp
     vals = list(fp.ints)
     lim = 1 << (p.q + 1)
     for axis in reversed(range(p.d)):
@@ -217,8 +215,6 @@ def transform_forward(fp: BlockFP, p: CodecParams) -> BlockFP:
 
 def transform_inverse(fp: BlockFP, p: CodecParams) -> BlockFP:
     """Backward lifting along every axis, in reverse of the forward order."""
-    if fp.is_zero:
-        return fp
     vals = list(fp.ints)
     for axis in range(p.d):
         for i0, i1, i2, i3 in _axis_lines(p.d, axis):
@@ -281,9 +277,6 @@ def sequency_unpermute(fp: BlockFP, p: CodecParams) -> BlockFP:
 # ---------------------------------------------------------------------------
 # negabinary conversion
 
-_ALT_WORD = 0xAAAA  # bits at odd positions, 16 wide
-
-
 @lru_cache(maxsize=None)
 def _alt_mask(nbits: int) -> int:
     """0b...1010 mask covering at least nbits positions (top set bit odd)."""
@@ -313,8 +306,6 @@ def nega_decode(u: int) -> int:
 
 def to_negabinary(fp: BlockFP, p: CodecParams) -> NegaBlock:
     """Lossless conversion of block integers to digit masks (q+2 digits)."""
-    if fp.is_zero:
-        return NegaBlock((0,) * len(fp.ints), None)
     q = p.q
     return NegaBlock(tuple(nega_encode(v, q) for v in fp.ints), fp.e_max)
 

@@ -479,7 +479,10 @@ def _read_run(window: bytes, first: int, count: int, header: ArrayHeader,
 
 def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecParams,
                   rows: int):
-    """Yield (e_max, digits) of :func:`_read_run` for runs of ``rows`` blocks."""
+    """Yield (first, e_max, digits) of :func:`_read_run` for runs of ``rows`` blocks.
+
+    ``first`` is the index of the run's first block.
+    """
     record_bytes = (1 + header.b_e + params.beta * (1 + params.n) + 7) // 8
     nblocks = header.block_count
     for first in range(0, nblocks, rows):
@@ -488,26 +491,34 @@ def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecPa
         window = data[offset:offset + count * record_bytes]
         e_max, digits, used = _read_run(window, first, count, header, params)
         offset += used
-        yield e_max, digits
+        yield first, e_max, digits
     if offset != len(data):
         raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
 
 
-def _decode(data: bytes) -> tuple[ArrayHeader, np.ndarray]:
-    """The header and every decoded block, padding included, as (nblocks, 4**d)."""
+def _decode(data: bytes):
+    """The header and a generator of (first, values) runs of every block, padding included.
+
+    ``values`` holds the decoded blocks ``first``, ``first + 1``, ... as
+    (blocks, 4**d).  The header is read at once; the generator raises
+    DecodeError at the first block whose reconstruction is not a finite
+    float64.
+    """
     header, offset = read_header(data)
     params = header.params()
     from . import batch
 
-    runs = []
-    for e_max, digits in _read_records(data, offset, header, params, batch.chunk_rows(params)):
-        values = batch.decode_blocks(e_max, digits, params)
-        finite = np.isfinite(values).all(axis=1)
-        if not finite.all():
-            raise DecodeError("reconstructed value exceeds the float64 range",
-                              block=len(runs) * batch.chunk_rows(params) + int(np.argmin(finite)))
-        runs.append(values)
-    return header, np.concatenate(runs)
+    def runs():
+        for first, e_max, digits in _read_records(data, offset, header, params,
+                                                  batch.chunk_rows(params)):
+            values = batch.decode_blocks(e_max, digits, params)
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise DecodeError("reconstructed value exceeds the float64 range",
+                                  block=first + int(np.argmin(finite)))
+            yield first, values
+
+    return header, runs()
 
 
 def decompress(data: bytes) -> np.ndarray:
@@ -516,5 +527,7 @@ def decompress(data: bytes) -> np.ndarray:
     Raises DecodeError naming the first block whose reconstruction is not a
     finite float64 (possible for blocks near the float64 maximum at small beta).
     """
-    header, blocks = _decode(data)
-    return unpartition(blocks, header.dims)
+    header, runs = _decode(data)
+    # joined, not filled into an array sized from the header: damaged dims
+    # must fail in the reader, not ask for memory the payload cannot fill
+    return unpartition(np.concatenate([values for _, values in runs]), header.dims)

@@ -30,6 +30,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -73,10 +74,12 @@ class WorstCaseSpec:
             raise ValueError("trials must be >= 1")
         if not self.betas:
             raise ValueError("betas must be non-empty")
+        if not self.rhos:
+            raise ValueError("rhos must be non-empty")
         if any(r < 0 for r in self.rhos):
             raise ValueError("rhos must be >= 0")
         lowest, highest = (-149, 127) if self.float32 else (-1074, 1023)
-        if self.e_min < lowest or self.e_min + max(self.rhos, default=0) > highest:
+        if self.e_min < lowest or self.e_min + max(self.rhos) > highest:
             raise ValueError(f"{'float32' if self.float32 else 'float64'} draws need "
                              f"e_min >= {lowest} and e_min + max(rhos) <= {highest}, "
                              f"got e_min={self.e_min}, rhos={self.rhos}")
@@ -624,10 +627,6 @@ def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
     return cell, violators
 
 
-def _run_cell_packed(args):
-    return _run_cell(*args)
-
-
 def thread_budget(requested: int | None = None) -> int:
     """Worker count: requested (or cpu count), capped by ZFPKIT_THREADS."""
     if requested is not None and requested < 1:
@@ -636,10 +635,13 @@ def thread_budget(requested: int | None = None) -> int:
     cap = os.environ.get("ZFPKIT_THREADS")
     if cap:
         try:
-            n = min(n, max(int(cap), 1))
+            limit = int(cap)
         except ValueError:
-            pass
-    return max(n, 1)
+            raise ValueError(f"ZFPKIT_THREADS must be an integer, got {cap!r}") from None
+        if limit < 1:
+            raise ValueError(f"ZFPKIT_THREADS must be at least 1, got {limit}")
+        n = min(n, limit)
+    return n
 
 
 def sweep(spec: WorstCaseSpec, threads: int | None = None):
@@ -649,16 +651,16 @@ def sweep(spec: WorstCaseSpec, threads: int | None = None):
     RNG stream depends only on (seed, cell index, trial index) and cells
     are gathered in enumeration order.
     """
-    jobs = [(spec, idx, rho, beta) for idx, rho, beta in spec.cells()]
+    cells = spec.cells()
     n_workers = thread_budget(threads)
-    if n_workers > 1 and len(jobs) > 1:
+    if n_workers > 1 and len(cells) > 1:
         # imported here: the pool machinery costs every `import zfpkit` ~17 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(jobs))) as pool:
-            results = list(pool.map(_run_cell_packed, jobs))
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
+            results = list(pool.map(_run_cell, repeat(spec), *zip(*cells)))
     else:
-        results = [_run_cell(*job) for job in jobs]
+        results = [_run_cell(spec, *cell) for cell in cells]
     cells = [cell for cell, _ in results]
     violators = [rec for _, recs in results for rec in recs]
     return cells, violators
@@ -715,33 +717,30 @@ def analyze_grid(grid: np.ndarray, k: int, q: int, betas: Sequence[int],
 
     Each nonzero block of ``partition(grid)`` is compared with the block
     that beta's container decodes to (DecodeError if one leaves the float64
-    range), a run of :func:`.codec.batch.chunk_rows` blocks at a time.  The
-    bound column carries the constant that applies to each beta (the loose
-    one in the wide regime).  Violations are counted with exact arithmetic
-    and should always be zero (:func:`_check_run`).  ``b_e`` goes to
+    range), a run of the container reader at a time.  The bound column
+    carries the constant that applies to each beta (the loose one in the
+    wide regime).  Violations are counted with exact arithmetic and should
+    always be zero (:func:`_check_run`).  ``b_e`` goes to
     :func:`.codec.compress`, where None picks the exponent field width.
     """
-    from .codec import batch
     from .codec.stream import _decode
 
     grid = np.asarray(grid, dtype=np.float64)
     blocks = _block_array(grid)
     live = blocks.any(axis=1)
-    xs = blocks[live]
     raw_bytes = grid.size * scalar_bytes
     rows = []
     for beta in betas:
         p = CodecParams(grid.ndim, k, q, beta, allow_wide_beta=allow_wide_beta)
         payload = compress(grid, p, b_e=b_e)
-        ws = _decode(payload)[1][live]
         bound = applicable_bound_exact(p)
         worst = 0.0
         violations = 0
-        step = batch.chunk_rows(p)
-        for first in range(0, len(xs), step):
-            err_block, _, violation = _check_run(xs[first:first + step], ws[first:first + step],
+        for first, ws in _decode(payload)[1]:
+            run = slice(first, first + len(ws))
+            err_block, _, violation = _check_run(blocks[run][live[run]], ws[live[run]],
                                                  bound, None)
-            worst = max(worst, float(err_block.max()))
+            worst = max(worst, float(err_block.max(initial=0.0)))
             violations += int(np.count_nonzero(violation))
         rows.append(GridAnalysisRow(beta=beta, max_block_err=worst,
                                     k_beta=float(bound),

@@ -247,6 +247,44 @@ class TestExperimentCommand:
         assert code == 2 and stdout == ""
         assert err == f"zfpkit: error: --threads must be at least 1, got {threads}\n"
 
+    @pytest.mark.parametrize("shape, precision, betas", [
+        ((16,), ("--k", "13", "--q", "9"), ["2", "4", "8", "9"]),
+        ((4, 4), ("--q", "12"), ["2", "4", "8", "10"]),
+        ((8, 8), (), ["2", "4", "8", "16", "60"]),
+    ])
+    def test_default_grid_betas_stay_in_the_default_regime(self, tmp_path, capsys, shape,
+                                                          precision, betas):
+        src = tmp_path / "g.raw"
+        np.random.default_rng(2).uniform(1, 4, size=shape).tofile(src)
+        code, stdout, _ = run(capsys, "experiment", "--grid", str(src),
+                              "--dims", ",".join(map(str, shape)), *precision)
+        assert code == 0
+        assert [line.split(",")[0] for line in stdout.splitlines()[1:]] == betas
+
+    @pytest.mark.parametrize("d, k, q, betas", [
+        ("1", "13", "9", ["8", "9"]),
+        ("1", "53", "62", ["8", "16", "32", "48", "62"]),
+        ("3", "53", "30", ["8", "16", "26"]),
+    ])
+    def test_default_sweep_betas(self, capsys, d, k, q, betas):
+        code, stdout, _ = run(capsys, "experiment", "--d", d, "--k", k, "--q", q,
+                              "--rho-list", "0", "--trials", "1", "--threads", "1")
+        assert code == 0
+        assert [line.split(",")[3] for line in stdout.splitlines()[1:]] == betas
+
+    def test_empty_rho_list_refused(self, capsys):
+        code, stdout, err = run(capsys, "experiment", "--rho-list", "", "--trials", "3",
+                                "--threads", "1")
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: rhos must be non-empty\n"
+
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_malformed_worker_cap_refused(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("ZFPKIT_THREADS", cap)
+        code, stdout, err = run(capsys, "experiment", "--trials", "1")
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and err.startswith("zfpkit: error: ZFPKIT_THREADS must be")
+
     def test_grid_dim_mismatch(self, tmp_path, capsys):
         src = tmp_path / "g.raw"
         np.ones(10).tofile(src)

@@ -22,6 +22,7 @@ from zfpkit.experiments import (
     gen_worst_case_block,
     measure,
     sweep,
+    thread_budget,
     trial_rng,
     write_grid_csv,
     write_sweep_csv,
@@ -223,6 +224,24 @@ class TestSweep:
         serial, _ = sweep(spec, threads=1)
         parallel, _ = sweep(spec, threads=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("cap, message", [
+        ("abc", "ZFPKIT_THREADS must be an integer, got 'abc'"),
+        ("0", "ZFPKIT_THREADS must be at least 1, got 0"),
+        ("-2", "ZFPKIT_THREADS must be at least 1, got -2"),
+    ])
+    def test_malformed_worker_cap_refused(self, monkeypatch, cap, message):
+        monkeypatch.setenv("ZFPKIT_THREADS", cap)
+        with pytest.raises(ValueError, match=message):
+            thread_budget(4)
+
+    def test_worker_cap_applies(self, monkeypatch):
+        monkeypatch.setenv("ZFPKIT_THREADS", "2")
+        assert (thread_budget(1), thread_budget(4)) == (1, 2)
+
+    def test_empty_rhos_refused(self):
+        with pytest.raises(ValueError, match="rhos must be non-empty"):
+            WorstCaseSpec(d=1, k=53, q=62, betas=(8,), rhos=(), trials=1)
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_worker_count_below_one_refused(self, threads):

@@ -13,6 +13,7 @@ from zfpkit.codec import (
     CodecParams,
     ContainerError,
     DecodeError,
+    GridShapeError,
     NegaBlock,
     ParamError,
     bit_planes,
@@ -25,8 +26,15 @@ from zfpkit.codec import (
     nega_encode,
     partition,
     read_header,
+    unpartition,
 )
-from zfpkit.codec.stream import _MAX_BLOCK_EXPONENT, _gather_digits, _read_run, _stream_bits
+from zfpkit.codec.stream import (
+    _MAX_BLOCK_EXPONENT,
+    _decode,
+    _gather_digits,
+    _read_run,
+    _stream_bits,
+)
 
 
 def roundtrip_planes(nb, p):
@@ -198,6 +206,23 @@ class TestContainer:
         with pytest.raises(Exception):
             compress(np.ones((4, 4)), CodecParams(1, 53, 62, 32))
 
+    def test_empty_grid_refused(self):
+        with pytest.raises(GridShapeError, match="empty grid"):
+            compress(np.empty((0,)), CodecParams(1, 53, 62, 32))
+
+    def test_reader_runs_name_their_first_block(self):
+        from zfpkit.codec import batch
+
+        p = CodecParams(2, 24, 30, 12)
+        grid = np.random.default_rng(4).standard_normal((99, 130))
+        grid[:12] = 0.0
+        data = compress(grid, p)
+        header, runs = _decode(data)
+        firsts, values = zip(*runs)
+        assert firsts == tuple(range(0, header.block_count, batch.chunk_rows(p)))
+        assert len(firsts) > 2
+        assert np.array_equal(unpartition(np.concatenate(values), grid.shape), decompress(data))
+
     def test_inconsistent_header_parameters_refused(self):
         # wide beta stored without the opt-in flag is an invalid container
         data = bytearray(compress(np.ones(4), CodecParams(1, 53, 62, 62)))
@@ -302,6 +327,13 @@ class TestDamagedContainer:
         window |= (e_max + (1 << 31) - 1) << 7
         data[offset:offset + 5] = window.to_bytes(5, "big")
         with pytest.raises(DecodeError, match="exponent"):
+            decompress(bytes(data))
+
+    def test_dims_beyond_the_payload_fail_in_the_reader(self):
+        # 2**90 blocks claimed: decoding must not size anything by the header's dims
+        data = bytearray(compress(np.ones((4, 4, 4)), CodecParams(3, 24, 30, 8)))
+        data[14:26] = b"\xff" * 12
+        with pytest.raises(DecodeError, match="stream ends inside block prologue"):
             decompress(bytes(data))
 
     def test_trailing_bytes_refused(self):
