@@ -83,15 +83,20 @@ def _precision(args) -> tuple[int, int]:
             args.q if args.q is not None else q_default)
 
 
+def _top_beta(d: int, q: int) -> int:
+    """The default beta: beta_default_max(d, q), at least 0."""
+    return max(B.beta_default_max(d, q), 0)
+
+
 def _default_betas(candidates: tuple[int, ...], d: int, q: int) -> tuple[int, ...]:
-    """The candidates up to beta_default_max(d, q), and that maximum (at least 1)."""
-    top = B.beta_default_max(d, q)
-    return tuple(sorted({b for b in candidates if b <= top} | {max(top, 1)}))
+    """The candidates up to the default beta, and the default beta itself."""
+    top = _top_beta(d, q)
+    return tuple(sorted({b for b in candidates if b <= top} | {top}))
 
 
 def _build_params(args, d: int) -> CodecParams:
     k, q = _precision(args)
-    beta = args.beta if args.beta is not None else max(B.beta_default_max(d, q), 0)
+    beta = args.beta if args.beta is not None else _top_beta(d, q)
     return CodecParams(d, k, q, beta, allow_wide_beta=args.allow_appendix_b)
 
 
@@ -162,7 +167,7 @@ def cmd_bounds(args) -> int:
             lines.append(f"beta for 2^-{args.b} accuracy: infeasible ({e})")
     rate = B.rate_lower_bound(args.beta, args.d, b_e)
     lines.append(f"rate bound  >= {float(rate):.10g} bits/value (b_e = {b_e})")
-    print("\n".join(lines))
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -223,11 +228,14 @@ def _add_common_params(sp, with_beta=True):
     sp.add_argument("--q", type=int, default=None, help="block integer precision")
     if with_beta:
         sp.add_argument("--beta", type=int, default=None, help="bit planes kept")
-    sp.add_argument("--allow-appendix-b", action="store_true",
-                    help="permit beta in (q-2d+2, q+2] (looser bound applies)")
     sp.add_argument("--b-e", type=int, default=None,
                     help="container exponent field width, 2..32 (default 11, or 12 when "
                          "a block is subnormal; bounds takes 11; experiment needs --grid)")
+
+
+def _add_wide_beta(sp):
+    sp.add_argument("--allow-appendix-b", action="store_true",
+                    help="permit beta in (q-2d+2, q+2] (looser bound applies)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("input")
     sp.add_argument("--dims", required=True, help="comma-separated grid extents")
     _add_common_params(sp)
+    _add_wide_beta(sp)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_compress)
 
@@ -265,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("experiment", help="bound-verification sweeps (CSV)")
     _add_common_params(sp, with_beta=False)
+    _add_wide_beta(sp)
     sp.add_argument("--beta-range", default=None,
                     help="beta list '2,4,8' or range 'lo:hi[:step]'")
     sp.add_argument("--rho-list", default="0,7,14", help="exponent ranges to sweep")

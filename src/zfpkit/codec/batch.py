@@ -12,12 +12,13 @@ bound harness in :mod:`zfpkit.experiments` is the second client: a sweep
 round-trips each run of generated trials through :func:`block_exponents`,
 :func:`forward` and :func:`decode_blocks` without a container.
 
-* Forward: block floating point keeps |ints| <= 2**q - 1, so every lifting
-  intermediate stays within 2**(q+1) - 2 and every line output within
-  2**q - 1 (checked exhaustively at q = 4), and int64 never wraps for
-  q <= 62.  The guard envelope and the negabinary range are still checked,
-  and raise the scalar path's errors.  Negabinary digits and truncation run
-  on uint64.
+* Forward: block floating point keeps |ints| <= 2**q - 1, and
+  :func:`_lift_forward` checks that bound once, raising the scalar path's
+  TransformOverflowError.  No other lifting check is needed (see
+  :func:`_lift_forward`; ``tests/test_batch.py::test_lifting_envelope``
+  runs every line at q = 3 and 4), so int64 never wraps for q <= 62.  The
+  negabinary range is still checked, and raises the scalar path's error.
+  Negabinary digits and truncation run on uint64.
 * Inverse: intermediates can reach about 4 * 2**q, which wraps int64 at
   q >= 61.  Every add, subtract and doubling step records whether it
   wrapped; each block that wrapped anywhere (negabinary decoding included)
@@ -68,42 +69,39 @@ def _lines(blk: np.ndarray, axis: int) -> list[np.ndarray]:
     return [blk[head + (i,)] for i in range(4)]
 
 
-def _guard(lim: int | None, *xs: np.ndarray) -> None:
-    """Raise TransformOverflowError if an entry of ``xs`` leaves [-lim, lim] (None: no check)."""
-    if lim is not None and any(x.max() > lim or x.min() < -lim for x in xs):
-        raise TransformOverflowError(_ENVELOPE_MSG)
-
-
 def _lift_forward(ints: np.ndarray, p: CodecParams) -> None:
-    """Forward lifting in place; raises if a line sum leaves the guard envelope."""
-    if not ints.size:
-        return
-    # at q = 62 the envelope is not an int64; the input bound covers it
-    _guard((1 << p.q) - 1, ints)
-    lim = 1 << (p.q + 1)
-    lim = lim if lim <= np.iinfo(np.int64).max else None
+    """Forward lifting in place; raises if an input leaves [-(2**q - 1), 2**q - 1].
+
+    That input bound is the only check the lifting needs.  With M = 2**q - 1:
+    each line sum adds two values within M, so no intermediate exceeds
+    2M = 2**(q+1) - 2, which fits int64 for q <= 62.  Each of the four
+    sum-and-halve steps leaves floor((a + b)/2) and ceil((b - a)/2) of two
+    values within M, both again within M.  With a1, a3 the values of x1, x3
+    before the fourth such step, that step and the last pair give
+    x3 = (3*a1 + a3 - r)/4 and x1 = (a1 - 5*a3 + s)/8 with rounding
+    remainders 0 <= r <= 3 and 0 <= s <= 11, both within M for q >= 2.  So
+    every line output is within M, and so is the input of the next axis.
+    """
+    lim = (1 << p.q) - 1
+    if ints.size and (ints.max() > lim or ints.min() < -lim):
+        raise TransformOverflowError(_ENVELOPE_MSG)
     blk = ints.reshape((-1,) + (4,) * p.d)
     for axis in reversed(range(p.d)):
         x0, x1, x2, x3 = _lines(blk, axis)
         x0 += x3
-        _guard(lim, x0)
         x0 >>= 1
         x3 -= x0
         x2 += x1
-        _guard(lim, x2)
         x2 >>= 1
         x1 -= x2
         x0 += x2
-        _guard(lim, x0)
         x0 >>= 1
         x2 -= x0
         x3 += x1
-        _guard(lim, x3)
         x3 >>= 1
         x1 -= x3
         x3 += x1 >> 1
         x1 -= x3 >> 1
-        _guard(lim, x1, x3)
 
 
 def _add(x: np.ndarray, y: np.ndarray, wrap: np.ndarray) -> None:
@@ -196,14 +194,14 @@ def forward(blocks: np.ndarray, live: np.ndarray, e_max: np.ndarray,
 
 
 def _bit_length(m: np.ndarray) -> np.ndarray:
-    """Bit length of each entry of a uint64 array, by integer shifts."""
-    length = np.zeros(m.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        high = m >> np.uint64(s)
-        has = high > 0
-        length += s * has
-        m = np.where(has, high, m)
-    return length + (m > 0)
+    """Bit length of each entry of a uint64 array whose entries are at most 2**63.
+
+    frexp reads the bit length e of the nearest float64; where rounding to
+    53 bits carried to the next power of two, e is one too many and the
+    entry lies below 2**(e - 1).
+    """
+    e = np.frexp(m.astype(np.float64))[1]
+    return e - (m < np.ldexp(0.5, e).astype(np.uint64))
 
 
 def scalar_values(digits, e_max: int, p: CodecParams) -> tuple[float, ...]:

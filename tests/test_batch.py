@@ -20,6 +20,7 @@ from zfpkit.codec import (
     DecodeError,
     NegaBlock,
     ParamError,
+    TransformOverflowError,
     compress,
     compress_block,
     decompress,
@@ -28,6 +29,7 @@ from zfpkit.codec import (
     unpartition,
 )
 from zfpkit.codec import batch
+from zfpkit.codec.pipeline import _lift_forward_line
 from zfpkit.codec.stream import _pack_header, _pack_planes
 
 K_FOR_Q = {9: 13, 30: 24, 61: 53, 62: 53, 80: 53}
@@ -216,3 +218,85 @@ def test_stages_above_max_q_run_block_by_block(d):
     assert batch.forward(dead, live, e_max, p).shape == (0, p.n)
     zero = np.zeros((3, p.n), dtype=object)
     assert batch.decode_blocks(np.zeros(3, dtype=np.int64), zero, p).tolist() == dead.tolist()
+
+
+def forward_line_steps(x0, x1, x2, x3):
+    """Every value one forward lifting line computes, in the order of ``_lift_forward_line``.
+
+    Works on arrays of lines; the last four values are the line outputs x0..x3.
+    """
+    x0 = x0 + x3
+    yield x0
+    x0 = x0 >> 1
+    x3 = x3 - x0
+    yield x3
+    x2 = x2 + x1
+    yield x2
+    x2 = x2 >> 1
+    x1 = x1 - x2
+    yield x1
+    x0 = x0 + x2
+    yield x0
+    x0 = x0 >> 1
+    x2 = x2 - x0
+    yield x2
+    x3 = x3 + x1
+    yield x3
+    x3 = x3 >> 1
+    x1 = x1 - x3
+    yield x1
+    x3 = x3 + (x1 >> 1)
+    yield x3
+    x1 = x1 - (x3 >> 1)
+    yield from (x0, x1, x2, x3)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_lifting_envelope(q):
+    # every line of inputs within 2**q - 1: every intermediate within
+    # 2**(q+1) - 2 and every output within 2**q - 1, the bound that lets
+    # batch._lift_forward check its input alone
+    top = (1 << q) - 1
+    axis = np.arange(-top, top + 1, dtype=np.int64)
+    lines = np.stack(np.meshgrid(axis, axis, axis, axis, indexing="ij"), -1).reshape(-1, 4)
+    steps = list(forward_line_steps(*lines.T))
+    assert max(int(np.abs(x).max()) for x in steps) == 2 * top
+    outputs = np.stack(steps[-4:], axis=1)
+    assert int(np.abs(outputs).max()) == top
+    ints = lines.copy()
+    batch._lift_forward(ints, CodecParams(1, q + 1, q, 0))
+    assert np.array_equal(ints, outputs)
+    # the steps above are the specification's
+    for line, out in zip(lines[::97].tolist(), outputs[::97].tolist()):
+        _lift_forward_line(line, 0, 1, 2, 3, 2 * top)
+        assert line == out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [30, 61, 62])
+def test_lifting_keeps_full_blocks_within_the_input_bound(d, q):
+    top = (1 << q) - 1
+    rng = np.random.default_rng(q * d)
+    edges = rng.choice([-top, top], size=(300, 4 ** d))
+    inside = rng.integers(-top, top, size=(300, 4 ** d), endpoint=True)
+    ints = np.concatenate([edges, inside]).astype(np.int64)
+    p = CodecParams(d, 53, q, 0)
+    batch._lift_forward(ints, p)
+    assert int(np.abs(ints).max()) <= top
+    for bad in (top + 1, -top - 1):
+        over = np.zeros((2, 4 ** d), dtype=np.int64)
+        over[1, -1] = bad
+        with pytest.raises(TransformOverflowError):
+            batch._lift_forward(over, p)
+
+
+def test_bit_length_at_rounding_carries():
+    values = [0, 1 << 63]
+    for j in range(1, 64):
+        values += [(1 << j) - 1, 1 << j, (1 << j) + 1]
+    rng = np.random.default_rng(63)
+    values += rng.integers(0, 1 << 63, size=2000, dtype=np.uint64, endpoint=True).tolist()
+    values += (rng.integers(0, 1 << 63, size=2000, dtype=np.uint64)
+               >> rng.integers(0, 64, size=2000, dtype=np.uint64)).tolist()
+    got = batch._bit_length(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [v.bit_length() for v in values]

@@ -357,3 +357,79 @@ class TestSubnormalGrid:
         code, _, stderr = run(capsys, "compress", str(src), "--dims", "8", "--b-e", "11",
                               "--out", str(out))
         assert code == 2 and "block exponent -1030 does not fit a 11-bit" in stderr
+
+
+class TestRefusalsAndOutputs:
+    """Options and refusals the other CLI tests do not reach."""
+
+    def test_bounds_table_written_to_out(self, tmp_path, capsys):
+        argv = ("bounds", "--d", "1", "--k", "13", "--q", "9", "--beta", "7")
+        code, table, _ = run(capsys, *argv)
+        assert code == 0 and table.startswith("K_beta      = 0.1992799224\n")
+        out = tmp_path / "b.txt"
+        code, stdout, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 0 and stdout == ""
+        assert out.read_text() == table
+
+    def test_wide_beta_flag_only_where_it_is_read(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bounds", "--d", "1", "--k", "13", "--q", "9", "--beta", "10",
+                  "--allow-appendix-b"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --allow-appendix-b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("wide", [(), ("--allow-appendix-b",)])
+    def test_default_sweep_beta_at_a_nonpositive_maximum(self, capsys, wide):
+        # q - 2d + 2 = 0: the default betas are {0}, as the default compress beta is 0
+        code, stdout, err = run(capsys, "experiment", "--d", "3", "--k", "5", "--q", "4",
+                                "--trials", "2", "--threads", "1", *wide)
+        assert code == 0 and err == ""
+        assert [line.split(",")[3] for line in stdout.splitlines()[1:]] == ["0", "0", "0"]
+
+    def test_bounds_needs_every_parameter(self, capsys):
+        code, stdout, err = run(capsys, "bounds", "--d", "1", "--k", "13", "--q", "9")
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: bounds needs --d, --k, --q and --beta (or --surface)\n"
+
+    @pytest.mark.parametrize("dims, message", [
+        ("4,x", "cannot parse dims '4,x'"),
+        (",", "dims must name at least one axis"),
+    ])
+    def test_unparsable_dims_refused(self, tmp_path, capsys, dims, message):
+        src = tmp_path / "v.raw"
+        np.ones(4).tofile(src)
+        code, stdout, err = run(capsys, "compress", str(src), "--dims", dims)
+        assert code == 2 and stdout == ""
+        assert err == f"zfpkit: error: {message}\n"
+        assert not (tmp_path / "v.raw.zfpk").exists()
+
+    @pytest.mark.parametrize("text", ["8:2", "2:8:0"])
+    def test_bad_beta_range_refused(self, capsys, text):
+        code, stdout, err = run(capsys, "experiment", "--beta-range", text, "--trials", "1",
+                                "--threads", "1")
+        assert code == 2 and stdout == ""
+        assert err == f"zfpkit: error: bad range {text!r}\n"
+
+    def test_grid_needs_dims(self, tmp_path, capsys):
+        src = tmp_path / "g.raw"
+        np.ones(16).tofile(src)
+        code, stdout, err = run(capsys, "experiment", "--grid", str(src))
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: --grid needs --dims\n"
+
+    def test_grid_violations_set_exit_status(self, tmp_path, capsys, monkeypatch):
+        import zfpkit.cli as cli
+        from zfpkit.experiments import GridAnalysisRow
+
+        def fake_analyze(grid, k, q, betas, nbytes, allow_wide_beta=False, b_e=None):
+            return [GridAnalysisRow(beta=b, max_block_err=1.0, k_beta=0.1, ratio=2.0,
+                                    violations=3) for b in betas]
+
+        monkeypatch.setattr(cli.X, "analyze_grid", fake_analyze)
+        src = tmp_path / "g.raw"
+        np.ones(16).tofile(src)
+        code, stdout, err = run(capsys, "experiment", "--grid", str(src), "--dims", "16",
+                                "--beta-range", "2,4")
+        assert code == 1
+        assert stdout.splitlines()[1:] == ["2,1,0.1,2", "4,1,0.1,2"]
+        assert err == "ERROR: 6 block(s) exceeded the error bound\n"

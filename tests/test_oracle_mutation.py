@@ -7,12 +7,19 @@ way that check draws them.  The oracle must disagree within a few hundred
 blocks, first at the stage the bug lives in.  The mutants patch the fast
 path only; in particular the sequency mutant replaces the permutation
 function, not ``SEQUENCY_TABLES``, which the oracle shares.
+
+The batched stages of :mod:`zfpkit.codec.batch` meet the same oracle: a06's
+blocks, grouped by parameters, go through ``block_exponents``, ``forward``
+and ``decode_blocks``, whose digits and values must equal the oracle's
+truncated digits and output values, and a mutant of the batch lifting must
+not.
 """
 
+import numpy as np
 import pytest
 
 from zfpkit.bitvec import sb_value
-from zfpkit.codec import CodecParams, pipeline, pipeline_trace, roundtrip_ref
+from zfpkit.codec import CodecParams, batch, pipeline, pipeline_trace, roundtrip_ref
 from zfpkit.codec.pipeline import BlockFP, NegaBlock
 from zfpkit.experiments import gen_worst_case_block, trial_rng
 
@@ -166,3 +173,66 @@ def test_oracle_catches_negabinary_without_digit_q1(monkeypatch):
     monkeypatch.setattr(pipeline, "nega_encode", nega_encode_without_digit_q1)
     for blk, p in digit_q1_blocks():
         assert first_mismatch(blk, p) == "nega", p
+
+
+# ---------------------------------------------------------------------------
+# the batched stages, which compress and decompress run for q <= 62
+
+BATCH_BLOCKS = 600  # 200 per d
+
+
+@pytest.fixture(scope="module")
+def oracle_groups():
+    """a06's blocks grouped by parameters, each block with its oracle round trip."""
+    groups = {}
+    for blk, p in a06_blocks(BATCH_BLOCKS):
+        groups.setdefault(p, []).append((blk, roundtrip_ref(blk, p)))
+    return groups
+
+
+def batch_mismatches(groups):
+    """Parameters of the groups whose batch exponents, digits or values differ from the oracle's."""
+    bad = []
+    for p, entries in groups.items():
+        blocks = np.array([blk for blk, _ in entries])
+        live, e_max = batch.block_exponents(blocks)
+        digits = batch.forward(blocks, live, e_max, p)
+        values = batch.decode_blocks(e_max, digits, p)
+        refs = [ref for _, ref in entries if not ref.is_zero]
+        if (live.tolist() != [not ref.is_zero for _, ref in entries]
+                or e_max.tolist() != [ref.e_max for ref in refs]
+                or digits.tolist() != [[e.digits.uint_at(0) for e in ref.truncated]
+                                       for ref in refs]
+                or values.tolist() != [[float(v) for v in ref.out_values] for ref in refs]):
+            bad.append(p)
+    return bad
+
+
+def _halve_toward_zero(x):
+    return np.where(x < 0, -((-x) >> 1), x >> 1)
+
+
+def batch_lift_forward_halving_toward_zero(ints, p):
+    blk = ints.reshape((-1,) + (4,) * p.d)
+    for axis in reversed(range(p.d)):
+        x0, x1, x2, x3 = batch._lines(blk, axis)
+        x0[...] = _halve_toward_zero(x0 + x3)
+        x3 -= x0
+        x2[...] = _halve_toward_zero(x2 + x1)
+        x1 -= x2
+        x0[...] = _halve_toward_zero(x0 + x2)
+        x2 -= x0
+        x3[...] = _halve_toward_zero(x3 + x1)
+        x1 -= x3
+        x3 += _halve_toward_zero(x1)
+        x1 -= _halve_toward_zero(x3)
+
+
+def test_batch_agrees_with_the_oracle(oracle_groups):
+    assert sum(map(len, oracle_groups.values())) == BATCH_BLOCKS
+    assert batch_mismatches(oracle_groups) == []
+
+
+def test_oracle_catches_batch_lifting_halving_toward_zero(monkeypatch, oracle_groups):
+    monkeypatch.setattr(batch, "_lift_forward", batch_lift_forward_halving_toward_zero)
+    assert batch_mismatches(oracle_groups)
