@@ -150,8 +150,9 @@ def beta_for_accuracy(inp: BoundInputs) -> int:
 
     Solves K_beta <= 2**(-b - e_max) exactly: the chain of inequalities is
     an equivalence, so the returned beta is minimal.  When the precision
-    terms already exceed the target no beta works and the limiting
-    parameter (k or q) is reported.
+    terms already exceed the target, or the solved beta exceeds the q + 2
+    planes of a block, no beta works and the limiting parameter (k or q) is
+    reported.
     """
     if inp.b is None or inp.e_max is None:
         raise BoundDomainError("beta_for_accuracy needs b and e_max")
@@ -173,6 +174,10 @@ def beta_for_accuracy(inp: BoundInputs) -> int:
     beta = max(arg.numerator.bit_length() - arg.denominator.bit_length() - 1, 0)
     while _pow2(beta) < arg:
         beta += 1
+    if beta > inp.q + 2:
+        raise InfeasibleAccuracyError(
+            f"target 2**-{inp.b} at e_max={inp.e_max} needs beta = {beta}, more than "
+            f"the q + 2 = {inp.q + 2} planes a block has (q = {inp.q})")
     return beta
 
 

@@ -147,6 +147,8 @@ def cmd_bounds(args) -> int:
     check_exponent_bits(b_e)
     inp = B.BoundInputs(d=args.d, k=args.k, q=args.q, beta=args.beta,
                         e_max=args.e_max, e_min=args.e_min, b=args.b, b_e=b_e)
+    if args.beta > args.q + 2:
+        raise ParamError(f"beta must be in [0, q+2] = [0, {args.q + 2}], got {args.beta}")
     tight_max = B.beta_default_max(args.d, args.q)
     kb = B.k_beta(inp, allow_out_of_regime=True)
     regime = "" if args.beta <= tight_max else f"  (outside beta <= {tight_max})"

@@ -7,7 +7,8 @@ over an ``(nblocks, 4**d)`` array of uint64 masks, above it each block runs
 the scalar stages on Python-int masks.  It does arithmetic only:
 :mod:`.stream` writes and reads the container records, and the two modules
 exchange only block exponents and digit masks, a run of :func:`chunk_rows`
-blocks at a time, so memory stays bounded whatever the grid size.  The
+blocks at a time (4096 values up to 1024 blocks, sized by the record
+width), so memory stays bounded whatever the grid size.  The
 bound harness in :mod:`zfpkit.experiments` is the second client: a sweep
 round-trips each run of generated trials through :func:`block_exponents`,
 :func:`forward` and :func:`decode_blocks` without a container.
@@ -39,7 +40,9 @@ from .pipeline import (_ENVELOPE_MSG, SEQUENCY_TABLES, NegaBlock, _inverse_table
 
 MAX_Q = 62  # forward lifting intermediates stay below 2**(q+1) - 1 <= 2**63 - 1
 
-_CHUNK_VALUES = 1 << 12  # values per run of blocks
+_RUN_VALUES = 1 << 12  # fewest values in a run of blocks
+_RUN_BITS = 1 << 18  # longest-record bits a run grows to
+_RUN_BLOCKS = 1 << 10  # most blocks in a run
 _EVEN = 0x5555555555555555  # digit positions of weight +2**i
 _ODD = 0xAAAAAAAAAAAAAAAA  # digit positions of weight -2**i
 
@@ -57,10 +60,17 @@ def _digit_type(p: CodecParams) -> type:
 
 
 def chunk_rows(p: CodecParams) -> int:
-    """Blocks coded or decoded together; this bounds each run's temporaries
-    (at most a few MB for q <= 62: the stream bits of a run and the bits of
-    its kept planes, one byte per bit, with their int64 stream positions)."""
-    return _CHUNK_VALUES // p.n
+    """Blocks coded or decoded together, a function of the parameters alone.
+
+    A run holds at least 4096 values.  Runs of narrow records grow, up to
+    1024 blocks, until their longest possible records (R = 1 + 32 +
+    beta * (1 + n) bits, with b_e up to 32) could fill 2**18 bits, so that
+    each numpy call serves more blocks.  For q <= 62 a run's bit matrices,
+    one byte per bit, stay near 0.5 MB and its value arrays within a few MB.
+    Blocks are coded independently, so the run size moves no byte or value.
+    """
+    record = 1 + 32 + p.beta * (1 + p.n)
+    return min(_RUN_BLOCKS, max(_RUN_VALUES // p.n, _RUN_BITS // record))
 
 
 def _lines(blk: np.ndarray, axis: int) -> list[np.ndarray]:

@@ -139,8 +139,10 @@ def test_wrapping_blocks_take_the_scalar_fallback(d, monkeypatch):
 
 @pytest.mark.parametrize("shape, k, q", [((9001,), 53, 62), ((130, 70), 24, 30),
                                          ((24, 17, 18), 53, 62)])
-def test_grids_spanning_several_runs_of_blocks(shape, k, q):
-    # compress and decompress work through runs of batch.chunk_rows blocks
+def test_grids_spanning_several_runs_of_blocks(shape, k, q, monkeypatch):
+    # compress and decompress work through runs of batch.chunk_rows blocks,
+    # pinned to 4096 values so that each shape spans more than two runs
+    monkeypatch.setattr(batch, "chunk_rows", lambda p: 4096 // p.n)
     d = len(shape)
     p = CodecParams(d, k, q, q - 2 * d + 2)
     assert np.prod([(n + 3) // 4 for n in shape]) > 2 * batch.chunk_rows(p)
@@ -152,8 +154,9 @@ def test_grids_spanning_several_runs_of_blocks(shape, k, q):
             decompress(damaged)
 
 
-# each shape spans three runs of batch.chunk_rows blocks, the last one partial,
-# and its run 1 is the value slab zeroed below (ragged slowest axis)
+# each shape spans three runs of batch.chunk_rows blocks, pinned to 4096
+# values, the last one partial, and its run 1 is the value slab zeroed below
+# (ragged slowest axis)
 MULTI_RUN = {1: ((9001,), slice(4096, 8192)), 2: ((150, 64), slice(64, 128)),
              3: ((41, 16, 16), slice(16, 32))}
 
@@ -161,9 +164,10 @@ MULTI_RUN = {1: ((9001,), slice(4096, 8192)), 2: ((150, 64), slice(64, 128)),
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("q", [30, 62, 80])
 @pytest.mark.parametrize("beta_kind", ["zero", "small", "max"])
-def test_runs_with_a_zero_run_and_a_partial_run(d, q, beta_kind):
+def test_runs_with_a_zero_run_and_a_partial_run(d, q, beta_kind, monkeypatch):
     from zfpkit.codec.blocks import _block_array
 
+    monkeypatch.setattr(batch, "chunk_rows", lambda p: 4096 // p.n)
     beta = {"zero": 0, "small": 3, "max": q - 2 * d + 2}[beta_kind]
     p = CodecParams(d, K_FOR_Q[q], q, beta)
     shape, zero = MULTI_RUN[d]
@@ -178,6 +182,67 @@ def test_runs_with_a_zero_run_and_a_partial_run(d, q, beta_kind):
         data = compress(grid, p, b_e=b_e)
         assert data == scalar_container(grid, p, b_e)
         assert decompress(data).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k, q, beta, rows", [
+    (53, 62, None, (1024, 256, 68)),  # the default maximum beta, q - 2d + 2
+    (24, 30, 8, (1024, 1024, 474)),
+])
+def test_run_rows_at_the_benchmark_parameters(k, q, beta, rows):
+    got = tuple(batch.chunk_rows(CodecParams(d, k, q, q - 2 * d + 2 if beta is None else beta))
+                for d in (1, 2, 3))
+    assert got == rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("q", [9, 30, 62, 80])
+def test_runs_hold_4096_values_to_1024_blocks_within_the_bit_budget(d, q):
+    for beta in range(q + 3):
+        p = CodecParams(d, K_FOR_Q[q], q, beta, allow_wide_beta=True)
+        rows, least = batch.chunk_rows(p), 4096 // p.n
+        assert least <= rows <= 1024, (beta, rows)
+        # a run larger than 4096 values holds at most 2**18 bits of its longest records
+        assert rows == least or rows * (1 + 32 + beta * (1 + p.n)) <= 1 << 18, (beta, rows)
+
+
+# each shape spans three production runs at q = 30, beta = 8 (1024, 1024 and
+# 474 blocks), the last one partial
+PRODUCTION_RUNS = {1: (9001,), 2: (200, 200), 3: (40, 40, 40)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_grid_spanning_three_production_runs(d):
+    p = CodecParams(d, 24, 30, 8)
+    shape, rows = PRODUCTION_RUNS[d], batch.chunk_rows(p)
+    assert 2 * rows < np.prod([(n + 3) // 4 for n in shape]) < 3 * rows
+    grid = draw_grid(np.random.default_rng(30 + d), shape, "zero-blocks")
+    data = compress(grid, p)
+    assert data == scalar_container(grid, p, 11)
+    assert decompress(data).tobytes() == scalar_decode(grid, p).tobytes()
+
+
+def test_largest_runs_keep_memory_bounded():
+    import tracemalloc
+
+    # beta = 1 at d = 3: 1024-block runs of 65 536 values, the most any run holds
+    p = CodecParams(3, 24, 30, 1)
+    assert batch.chunk_rows(p) == 1024
+    grid = np.random.default_rng(64).standard_normal((64, 64, 64))  # 4096 blocks, 2 MB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = compress(grid, p)
+        compress_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        decompress(data)
+        decompress_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # about 2 MB and 3.3 MB of run temporaries above the block copy and the
+    # two output arrays; one run of the whole grid would take 7.5 and 17 MB
+    assert compress_peak < grid.nbytes + 3_000_000
+    assert decompress_peak < 2 * grid.nbytes + 5_000_000
 
 
 def test_forward_keeps_its_range_checks(monkeypatch):

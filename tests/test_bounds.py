@@ -141,6 +141,13 @@ class TestBetaForAccuracy:
         with pytest.raises(InfeasibleAccuracyError, match="k = 13"):
             beta_for_accuracy(inp)
 
+    def test_beta_beyond_the_planes_of_a_block_is_infeasible(self):
+        # K_beta reaches 2**-17 at d = 3, q = 30 only with beta = 33 > q + 2
+        inp = BoundInputs(d=3, k=24, q=30, beta=0, b=17, e_max=0)
+        with pytest.raises(InfeasibleAccuracyError, match=r"beta = 33.*\(q = 30\)"):
+            beta_for_accuracy(inp)
+        assert beta_for_accuracy(BoundInputs(d=3, k=24, q=30, beta=0, b=16, e_max=0)) <= 32
+
 
 class TestRateBound:
     def test_examples(self):

@@ -195,6 +195,21 @@ class TestBoundsCommand:
         assert code == 2 and stdout == ""
         assert err.count("\n") == 1 and message in err
 
+    def test_accuracy_target_beyond_q_plus_2_planes_infeasible(self, capsys):
+        code, stdout, _ = run(capsys, "bounds", "--d", "3", "--k", "24", "--q", "30",
+                              "--beta", "8", "--e-max", "0", "--b", "17")
+        assert code == 0
+        assert "beta for 2^-17 accuracy: infeasible" in stdout and "(q = 30)" in stdout
+
+    def test_beta_beyond_q_plus_2_refused(self, capsys):
+        code, stdout, err = run(capsys, "bounds", "--d", "3", "--k", "24", "--q", "30",
+                                "--beta", "33")
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: beta must be in [0, q+2] = [0, 32], got 33\n"
+        code, stdout, _ = run(capsys, "bounds", "--d", "3", "--k", "24", "--q", "30",
+                              "--beta", "32")
+        assert code == 0 and stdout.startswith("K_beta")
+
     def test_exponent_width_at_container_limits_accepted(self, capsys):
         for b_e in ("2", "32"):
             code, stdout, _ = run(capsys, "bounds", "--d", "1", "--k", "53", "--q", "62",

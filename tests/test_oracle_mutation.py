@@ -11,8 +11,8 @@ function, not ``SEQUENCY_TABLES``, which the oracle shares.
 The batched stages of :mod:`zfpkit.codec.batch` meet the same oracle: a06's
 blocks, grouped by parameters, go through ``block_exponents``, ``forward``
 and ``decode_blocks``, whose digits and values must equal the oracle's
-truncated digits and output values, and a mutant of the batch lifting must
-not.
+truncated digits and output values, and each mutant of the batch stages
+(lifting, plane cut, permutation, wrap flag) must not.
 """
 
 import numpy as np
@@ -236,3 +236,72 @@ def test_batch_agrees_with_the_oracle(oracle_groups):
 def test_oracle_catches_batch_lifting_halving_toward_zero(monkeypatch, oracle_groups):
     monkeypatch.setattr(batch, "_lift_forward", batch_lift_forward_halving_toward_zero)
     assert batch_mismatches(oracle_groups)
+
+
+_batch_forward = batch.forward
+
+
+def batch_forward_one_plane_short(blocks, live, e_max, p):
+    digits = _batch_forward(blocks, live, e_max, p)
+    cut = p.q + 3 - p.beta
+    if 0 < cut <= 64:
+        digits &= np.uint64(((1 << 64) - 1) ^ ((1 << cut) - 1))
+    return digits
+
+
+_batch_perm = batch._perm
+
+
+def batch_perm_two_swapped(d, inverse):
+    table = _batch_perm(d, inverse).copy()
+    if not inverse:
+        table[[1, 2]] = table[[2, 1]]
+    return table
+
+
+_batch_lift_inverse = batch._lift_inverse
+
+
+def batch_lift_inverse_never_wrapping(v, p):
+    return np.zeros_like(_batch_lift_inverse(v, p))
+
+
+@pytest.fixture(scope="module")
+def wrapping_groups():
+    """uniform(-1, 1) blocks at q = 62 and small beta, whose inverse lifting often leaves int64.
+
+    a06's blocks wrap too rarely (1 in 600) to judge the wrap flag alone.
+    """
+    groups = {}
+    for d, beta in ((1, 2), (2, 4), (3, 5)):
+        p = CodecParams(d, 53, 62, beta)
+        blocks = np.random.default_rng(1214 + d).uniform(-1.0, 1.0, (8, 4 ** d)).tolist()
+        groups[p] = [(blk, roundtrip_ref(blk, p)) for blk in blocks]
+    return groups
+
+
+def test_batch_agrees_with_the_oracle_on_wrapping_blocks(monkeypatch, wrapping_groups):
+    wraps = []
+
+    def counting(v, p):
+        wrapped = _batch_lift_inverse(v, p)
+        wraps.append(int(wrapped.sum()))
+        return wrapped
+
+    monkeypatch.setattr(batch, "_lift_inverse", counting)
+    assert batch_mismatches(wrapping_groups) == []
+    assert all(wraps), wraps
+
+
+@pytest.mark.parametrize("name,mutant", [
+    ("forward", batch_forward_one_plane_short),
+    ("_perm", batch_perm_two_swapped),
+], ids=["forward", "_perm"])
+def test_oracle_catches_batch_mutant(monkeypatch, oracle_groups, name, mutant):
+    monkeypatch.setattr(batch, name, mutant)
+    assert batch_mismatches(oracle_groups)
+
+
+def test_oracle_catches_batch_wrap_flag_dropped(monkeypatch, wrapping_groups):
+    monkeypatch.setattr(batch, "_lift_inverse", batch_lift_inverse_never_wrapping)
+    assert batch_mismatches(wrapping_groups)

@@ -210,9 +210,11 @@ class TestContainer:
         with pytest.raises(GridShapeError, match="empty grid"):
             compress(np.empty((0,)), CodecParams(1, 53, 62, 32))
 
-    def test_reader_runs_name_their_first_block(self):
+    def test_reader_runs_name_their_first_block(self, monkeypatch):
         from zfpkit.codec import batch
 
+        # runs of 4096 values, so that the grid spans more than two
+        monkeypatch.setattr(batch, "chunk_rows", lambda p: 4096 // p.n)
         p = CodecParams(2, 24, 30, 12)
         grid = np.random.default_rng(4).standard_normal((99, 130))
         grid[:12] = 0.0
