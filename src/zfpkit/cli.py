@@ -130,13 +130,21 @@ def cmd_decompress(args) -> int:
     return 0
 
 
+def _check_beta(beta: int, q: int) -> None:
+    """Refuse a beta above q + 2, the most planes a container holds."""
+    if beta > q + 2:
+        raise ParamError(f"beta must be in [0, q+2] = [0, {q + 2}], got {beta}")
+
+
 def cmd_bounds(args) -> int:
     if args.surface:
         if args.b_e is not None:
             raise ParamError("--b-e does not apply to --surface: the table has no rate column")
         d_range = _parse_int_list(args.d_range)
-        beta_range = _parse_int_list(args.beta_range) if args.beta_range else tuple(range(1, 65))
-        rows = B.kbeta_surface(d_range, beta_range, *_precision(args))
+        k, q = _precision(args)
+        beta_range = _parse_int_list(args.beta_range) if args.beta_range else range(1, q + 3)
+        rows = B.kbeta_surface(d_range, beta_range, k, q)
+        _check_beta(max(beta_range), q)
         buf = io.StringIO()
         B.write_surface_csv(rows, buf)
         _emit(buf.getvalue(), args.out)
@@ -147,8 +155,7 @@ def cmd_bounds(args) -> int:
     check_exponent_bits(b_e)
     inp = B.BoundInputs(d=args.d, k=args.k, q=args.q, beta=args.beta,
                         e_max=args.e_max, e_min=args.e_min, b=args.b, b_e=b_e)
-    if args.beta > args.q + 2:
-        raise ParamError(f"beta must be in [0, q+2] = [0, {args.q + 2}], got {args.beta}")
+    _check_beta(args.beta, args.q)
     tight_max = B.beta_default_max(args.d, args.q)
     kb = B.k_beta(inp, allow_out_of_regime=True)
     regime = "" if args.beta <= tight_max else f"  (outside beta <= {tight_max})"
@@ -270,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="emit the (d, beta) -> log10 K_beta table as CSV")
     sp.add_argument("--d-range", default="1:5", help="surface d range, lo:hi[:step]")
     sp.add_argument("--beta-range", default=None,
-                    help="beta list '2,4,8' or range 'lo:hi[:step]'")
+                    help="surface beta list '2,4,8' or range 'lo:hi[:step]' (default 1:q+2)")
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_bounds)
 

@@ -13,18 +13,20 @@ bound harness in :mod:`zfpkit.experiments` is the second client: a sweep
 round-trips each run of generated trials through :func:`block_exponents`,
 :func:`forward` and :func:`decode_blocks` without a container.
 
-* Forward: block floating point keeps |ints| <= 2**q - 1, and
-  :func:`_lift_forward` checks that bound once, raising the scalar path's
-  TransformOverflowError.  No other lifting check is needed (see
-  :func:`_lift_forward`; ``tests/test_batch.py::test_lifting_envelope``
+* Forward: the lifting runs the scalar path's own steps,
+  :func:`.pipeline._lift_forward_steps`, on array views.  Block floating
+  point keeps |ints| <= 2**q - 1, and :func:`_lift_forward` checks that
+  bound once, raising the scalar path's TransformOverflowError; no step
+  needs a check of its own (``tests/test_batch.py::test_lifting_envelope``
   runs every line at q = 3 and 4), so int64 never wraps for q <= 62.  The
   negabinary range is still checked, and raises the scalar path's error.
   Negabinary digits and truncation run on uint64.
 * Inverse: intermediates can reach about 4 * 2**q, which wraps int64 at
-  q >= 61.  Every add, subtract and doubling step records whether it
-  wrapped; each block that wrapped anywhere (negabinary decoding included)
-  is decoded again by the scalar :func:`.pipeline.decompress_block`, so
-  wrapped results are never used.
+  q >= 61.  So the inverse lifting is written here a second time, with
+  every add, subtract and doubling step recording whether it wrapped,
+  which the scalar path's Python ints never do; each block that wrapped
+  anywhere (negabinary decoding included) is decoded again by the scalar
+  :func:`.pipeline.decompress_block`, so wrapped results are never used.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import lru_cache
 import numpy as np
 
 from .params import CodecParams, NegabinaryRangeError, TransformOverflowError
-from .pipeline import (_ENVELOPE_MSG, SEQUENCY_TABLES, NegaBlock, _inverse_table, compress_block,
-                       decompress_block)
+from .pipeline import (SEQUENCY_TABLES, NegaBlock, _inverse_table, _lift_forward_steps,
+                       compress_block, decompress_block)
 
 MAX_Q = 62  # forward lifting intermediates stay below 2**(q+1) - 1 <= 2**63 - 1
 
@@ -80,38 +82,18 @@ def _lines(blk: np.ndarray, axis: int) -> list[np.ndarray]:
 
 
 def _lift_forward(ints: np.ndarray, p: CodecParams) -> None:
-    """Forward lifting in place; raises if an input leaves [-(2**q - 1), 2**q - 1].
+    """Forward lifting in place, by :func:`.pipeline._lift_forward_steps` on each axis.
 
-    That input bound is the only check the lifting needs.  With M = 2**q - 1:
-    each line sum adds two values within M, so no intermediate exceeds
-    2M = 2**(q+1) - 2, which fits int64 for q <= 62.  Each of the four
-    sum-and-halve steps leaves floor((a + b)/2) and ceil((b - a)/2) of two
-    values within M, both again within M.  With a1, a3 the values of x1, x3
-    before the fourth such step, that step and the last pair give
-    x3 = (3*a1 + a3 - r)/4 and x1 = (a1 - 5*a3 + s)/8 with rounding
-    remainders 0 <= r <= 3 and 0 <= s <= 11, both within M for q >= 2.  So
-    every line output is within M, and so is the input of the next axis.
+    Raises if an input leaves [-(2**q - 1), 2**q - 1], one less than the
+    scalar bound, so that intermediates stay within 2**(q+1) - 2, which
+    fits int64 for q <= 62 (see the steps' docstring for the proof).
     """
     lim = (1 << p.q) - 1
     if ints.size and (ints.max() > lim or ints.min() < -lim):
-        raise TransformOverflowError(_ENVELOPE_MSG)
+        raise TransformOverflowError(f"a block integer lies beyond 2**q - 1, q = {p.q}")
     blk = ints.reshape((-1,) + (4,) * p.d)
     for axis in reversed(range(p.d)):
-        x0, x1, x2, x3 = _lines(blk, axis)
-        x0 += x3
-        x0 >>= 1
-        x3 -= x0
-        x2 += x1
-        x2 >>= 1
-        x1 -= x2
-        x0 += x2
-        x0 >>= 1
-        x2 -= x0
-        x3 += x1
-        x3 >>= 1
-        x1 -= x3
-        x3 += x1 >> 1
-        x1 -= x3 >> 1
+        _lift_forward_steps(*_lines(blk, axis))
 
 
 def _add(x: np.ndarray, y: np.ndarray, wrap: np.ndarray) -> None:

@@ -12,8 +12,9 @@ class ParamError(ValueError):
 
 
 class TransformOverflowError(RuntimeError):
-    """An intermediate transform value escaped the guard-bit envelope.
+    """A block integer given to the forward transform lies beyond 2**q.
 
+    Within that bound every lifting intermediate keeps to the one guard bit.
     This is an internal invariant violation: legal pipeline inputs can never
     trigger it (tested), so seeing it means the caller bypassed the
     block-floating-point stage or corrupted state.

@@ -9,7 +9,9 @@ Decompression applies the inverses right to left, finishing with a
 significand truncation to k bits and the exponent unshift.  All integer
 arithmetic matches two's-complement semantics: halving is an arithmetic
 right shift (floor), while the block-floating-point rounding truncates
-magnitudes toward zero.
+magnitudes toward zero.  The forward lifting steps,
+:func:`_lift_forward_steps`, are the batch path's too: :mod:`.batch` runs
+them on array views, and each path checks only the input of the lifting.
 """
 
 from __future__ import annotations
@@ -94,6 +96,21 @@ def significand_truncate(v: int, k: int) -> int:
     return -m if v < 0 else m
 
 
+def _scale(ints, ell: int) -> tuple[float, ...]:
+    """Each int, of at most 53 significant bits, times 2**ell as a float.
+
+    From q = 1023 on such an int can pass 2**1024, beyond float64, while its
+    product does not, and ldexp, which converts the int first, overflows;
+    then the ints' zero low bits move into the exponent first.  Only a
+    product beyond the float64 range raises OverflowError.
+    """
+    try:
+        return tuple(math.ldexp(v, ell) for v in ints)
+    except OverflowError:
+        shifts = [max(v.bit_length() - 53, 0) for v in ints]
+        return tuple(math.ldexp(v >> s, ell + s) for v, s in zip(ints, shifts))
+
+
 def block_fp_inverse(fp: BlockFP, p: CodecParams) -> tuple[float, ...]:
     """Round each integer to k significand bits and undo the block shift.
 
@@ -102,7 +119,7 @@ def block_fp_inverse(fp: BlockFP, p: CodecParams) -> tuple[float, ...]:
     """
     if fp.is_zero:
         return (0.0,) * len(fp.ints)
-    return tuple(math.ldexp(significand_truncate(v, p.k), fp.ell) for v in fp.ints)
+    return _scale([significand_truncate(v, p.k) for v in fp.ints], fp.ell)
 
 
 # ---------------------------------------------------------------------------
@@ -120,53 +137,39 @@ def _axis_lines(d: int, axis: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(lines)
 
 
-_ENVELOPE_MSG = "intermediate escaped the q+1-bit guard envelope"
+def _lift_forward_steps(x0, x1, x2, x3):
+    """The 14 steps of one forward lifting line; returns the outputs x0..x3.
 
+    On Python ints the steps rebind; on numpy views of a block array they
+    update the views in place.  ``x >>= 1`` floors like a two's-complement
+    arithmetic shift.
 
-def _lift_forward_line(a: list, i0: int, i1: int, i2: int, i3: int, lim: int):
-    # x >>= 1 floors like a two's-complement arithmetic shift.  Every step is
-    # pinned to the envelope by a raise, never an assert, so ``python -O``
-    # keeps the checks; the line sums are checked before they are halved.
-    x0 = a[i0]
-    x1 = a[i1]
-    x2 = a[i2]
-    x3 = a[i3]
+    The input bound is the only check the steps need.  With every input
+    within M (2**q in :func:`transform_forward`, 2**q - 1 in
+    ``batch._lift_forward``): each line sum adds two values within M, so no
+    intermediate exceeds 2M.  Each of the four sum-and-halve steps leaves
+    floor((a + b)/2) and ceil((b - a)/2) of two values within M, both again
+    within M.  With a1, a3 the values of x1, x3 before the fourth such step,
+    that step and the last pair give x3 = (3*a1 + a3 - r)/4 and
+    x1 = (a1 - 5*a3 + s)/8 with rounding remainders 0 <= r <= 3 and
+    0 <= s <= 11, both within M for q >= 2.  So every line output is within
+    M, and so is the input of the next axis.
+    """
     x0 += x3
-    if x0 > lim or x0 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x0 >>= 1
     x3 -= x0
-    if x3 > lim or x3 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x2 += x1
-    if x2 > lim or x2 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x2 >>= 1
     x1 -= x2
-    if x1 > lim or x1 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x0 += x2
-    if x0 > lim or x0 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x0 >>= 1
     x2 -= x0
-    if x2 > lim or x2 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x3 += x1
-    if x3 > lim or x3 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x3 >>= 1
     x1 -= x3
-    if x1 > lim or x1 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
     x3 += x1 >> 1
     x1 -= x3 >> 1
-    if x1 > lim or x1 < -lim or x3 > lim or x3 < -lim:
-        raise TransformOverflowError(_ENVELOPE_MSG)
-    a[i0] = x0
-    a[i1] = x1
-    a[i2] = x2
-    a[i3] = x3
+    return x0, x1, x2, x3
 
 
 def _lift_inverse_line(a: list, i0: int, i1: int, i2: int, i3: int):
@@ -203,13 +206,16 @@ def transform_forward(fp: BlockFP, p: CodecParams) -> BlockFP:
 
     Lines along the contiguous (last) axis are lifted first, then each
     earlier axis in turn; the inverse walks axes in the opposite order.
-    Intermediates are checked against the q+1-bit guard envelope.
+    Raises TransformOverflowError unless every input is within 2**q.
     """
     vals = list(fp.ints)
-    lim = 1 << (p.q + 1)
+    lim = 1 << p.q
+    if max(vals) > lim or min(vals) < -lim:
+        raise TransformOverflowError(f"a block integer lies beyond 2**q, q = {p.q}")
     for axis in reversed(range(p.d)):
         for i0, i1, i2, i3 in _axis_lines(p.d, axis):
-            _lift_forward_line(vals, i0, i1, i2, i3, lim)
+            vals[i0], vals[i1], vals[i2], vals[i3] = _lift_forward_steps(
+                vals[i0], vals[i1], vals[i2], vals[i3])
     return BlockFP(tuple(vals), fp.e_max, fp.ell)
 
 
@@ -374,7 +380,7 @@ def _inverse_stages(nb: NegaBlock, p: CodecParams):
     unpermuted = sequency_unpermute(from_negabinary(nb, p), p)
     recovered = transform_inverse(unpermuted, p)
     out_ints = tuple(significand_truncate(v, p.k) for v in recovered.ints)
-    out_values = tuple(math.ldexp(v, recovered.ell) for v in out_ints)
+    out_values = _scale(out_ints, recovered.ell)
     return unpermuted, recovered, out_ints, out_values
 
 

@@ -28,6 +28,7 @@ from zfpkit.bounds import (
 from zfpkit.codec import (
     CodecParams,
     NegaBlock,
+    batch,
     bit_planes,
     bitplane_truncate,
     compress,
@@ -204,10 +205,16 @@ def test_a05_plane_truncation_bound_fuzz():
 
 
 def _equiv_chunk(args):
-    """Worker: verify fast path == reference path on a block range."""
+    """Worker: verify fast path == reference path on a block range.
+
+    The block-by-block trace is compared stage by stage; then the blocks of
+    each parameter set go through the batch stages together, whose
+    exponents, truncated digits and decoded values must equal the oracle's.
+    """
     d, start, count = args
     pairings = [(13, 9), (24, 30), (53, 62)] if d == 1 else [(24, 30), (53, 62)]
     rhos = (0, 7, 14)
+    groups = {}
     for t in range(start, start + count):
         k, q = pairings[t % len(pairings)]
         rho = rhos[t % 3]
@@ -221,6 +228,9 @@ def _equiv_chunk(args):
             blk = gen_worst_case_block(d, 0, rho, rng, float32=(k == 24))
         fast = pipeline_trace(blk, p)
         ref = roundtrip_ref(blk, p)
+        groups.setdefault(p, []).append((blk, None if ref.is_zero else (
+            ref.e_max, [e.digits.uint_at(0) for e in ref.truncated],
+            [float(v) for v in ref.out_values])))
         if fast.fp.is_zero:
             assert ref.is_zero
             continue
@@ -236,6 +246,16 @@ def _equiv_chunk(args):
             (tuple(float(v) for v in ref.out_values), fast.out_values),
         ):
             assert got == want, (d, k, q, beta, t)
+    for p, entries in groups.items():
+        blocks = np.array([blk for blk, _ in entries])
+        live, e_max = batch.block_exponents(blocks)
+        digits = batch.forward(blocks, live, e_max, p)
+        values = batch.decode_blocks(e_max, digits, p)
+        refs = [ref for _, ref in entries if ref is not None]
+        assert live.tolist() == [ref is not None for _, ref in entries], p
+        assert e_max.tolist() == [ref[0] for ref in refs], p
+        assert digits.tolist() == [ref[1] for ref in refs], p
+        assert values.tolist() == [ref[2] for ref in refs], p
     return count
 
 

@@ -29,7 +29,7 @@ from zfpkit.codec import (
     unpartition,
 )
 from zfpkit.codec import batch
-from zfpkit.codec.pipeline import _lift_forward_line
+from zfpkit.codec.pipeline import _lift_forward_steps
 from zfpkit.codec.stream import _pack_header, _pack_planes
 
 K_FOR_Q = {9: 13, 30: 24, 61: 53, 62: 53, 80: 53}
@@ -286,7 +286,7 @@ def test_stages_above_max_q_run_block_by_block(d):
 
 
 def forward_line_steps(x0, x1, x2, x3):
-    """Every value one forward lifting line computes, in the order of ``_lift_forward_line``.
+    """Every value one forward lifting line computes, in the order of ``_lift_forward_steps``.
 
     Works on arrays of lines; the last four values are the line outputs x0..x3.
     """
@@ -333,8 +333,7 @@ def test_lifting_envelope(q):
     assert np.array_equal(ints, outputs)
     # the steps above are the specification's
     for line, out in zip(lines[::97].tolist(), outputs[::97].tolist()):
-        _lift_forward_line(line, 0, 1, 2, 3, 2 * top)
-        assert line == out
+        assert list(_lift_forward_steps(*line)) == out
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -201,6 +201,17 @@ class TestBoundsCommand:
         assert code == 0
         assert "beta for 2^-17 accuracy: infeasible" in stdout and "(q = 30)" in stdout
 
+    def test_surface_default_betas_stop_at_q_plus_2(self, capsys):
+        code, stdout, _ = run(capsys, "bounds", "--surface", "--scalar", "f32", "--d-range", "1:1")
+        assert code == 0
+        assert [int(line.split(",")[1]) for line in stdout.splitlines()[1:]] == list(range(1, 33))
+
+    def test_surface_beta_beyond_q_plus_2_refused(self, capsys):
+        code, stdout, err = run(capsys, "bounds", "--surface", "--scalar", "f32",
+                                "--d-range", "1:2", "--beta-range", "8,33")
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: beta must be in [0, q+2] = [0, 32], got 33\n"
+
     def test_beta_beyond_q_plus_2_refused(self, capsys):
         code, stdout, err = run(capsys, "bounds", "--d", "3", "--k", "24", "--q", "30",
                                 "--beta", "33")
@@ -346,6 +357,15 @@ class TestOneLineErrors:
                                    "--trials", "2", "--threads", "1")
         assert code == 2 and stdout == ""
         assert stderr.count("\n") == 1 and "float32 draws need e_min >= -149" in stderr
+
+    def test_sweep_at_q_1024_decodes_values_near_one(self, capsys):
+        # the decoded ints of these blocks pass 2**1024 while their values stay near 1
+        code, stdout, stderr = run(capsys, "experiment", "--d", "1", "--k", "53", "--q", "1024",
+                                   "--beta-range", "2", "--rho-list", "0", "--trials", "50",
+                                   "--threads", "1")
+        assert code == 0 and stderr == ""
+        header, row = stdout.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["violations"] == "0"
 
     def test_sweep_decoding_beyond_float64(self, capsys):
         code, stdout, stderr = run(capsys, "experiment", "--e-min", "1022", "--rho-list", "1",

@@ -101,8 +101,7 @@ def _half_toward_zero(x):
     return -((-x) >> 1) if x < 0 else x >> 1
 
 
-def lift_forward_halving_toward_zero(a, i0, i1, i2, i3, lim):
-    x0, x1, x2, x3 = a[i0], a[i1], a[i2], a[i3]
+def lift_forward_halving_toward_zero(x0, x1, x2, x3):
     x0 = _half_toward_zero(x0 + x3)
     x3 -= x0
     x2 = _half_toward_zero(x2 + x1)
@@ -113,7 +112,7 @@ def lift_forward_halving_toward_zero(a, i0, i1, i2, i3, lim):
     x1 -= x3
     x3 += _half_toward_zero(x1)
     x1 -= _half_toward_zero(x3)
-    a[i0], a[i1], a[i2], a[i3] = x0, x1, x2, x3
+    return x0, x1, x2, x3
 
 
 def bitplane_truncate_one_plane_short(nb, p):
@@ -143,7 +142,7 @@ def nega_encode_without_digit_q1(v, q):
 
 
 MUTANTS = [
-    ("_lift_forward_line", lift_forward_halving_toward_zero, "transformed"),
+    ("_lift_forward_steps", lift_forward_halving_toward_zero, "transformed"),
     ("bitplane_truncate", bitplane_truncate_one_plane_short, "truncated"),
     ("sequency_permute", sequency_permute_two_swapped, "permuted"),
     ("nega_encode", nega_encode_without_top_digit, "nega"),

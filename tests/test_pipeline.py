@@ -58,6 +58,14 @@ class TestBlockFP:
         fp = BlockFP((364, 196, 28, -12), 12, 4)
         assert block_fp_inverse(fp, TOY) == (5824.0, 3136.0, 448.0, -192.0)
 
+    def test_inverse_of_ints_beyond_the_float64_range(self):
+        # at q = 1024 a truncated int can pass 2**1024 while its value is small
+        p = CodecParams(1, 53, 1024, 2)
+        fp = BlockFP((3 << 1023, -(1 << 1024), (1 << 1100) + 1, 0), 0, -1023)
+        assert block_fp_inverse(fp, p) == (3.0, -2.0, 2.0 ** 77, 0.0)
+        with pytest.raises(OverflowError):
+            block_fp_inverse(BlockFP((3 << 1023, 0, 0, 0), 1025, 2), p)
+
     def test_significand_truncation(self):
         assert significand_truncate((1 << 12) + 1, 12) == 1 << 12
         assert significand_truncate(-((1 << 12) + 1), 12) == -(1 << 12)

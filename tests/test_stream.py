@@ -26,6 +26,7 @@ from zfpkit.codec import (
     nega_encode,
     partition,
     read_header,
+    roundtrip_ref,
     unpartition,
 )
 from zfpkit.codec.stream import (
@@ -245,6 +246,15 @@ class TestPrecisionCap:
         p = CodecParams(1, 53, 1024, 1024)
         out = decompress(compress(np.array(values), p, b_e=b_e))
         assert out.shape == (4,) and np.isfinite(out).all()
+
+    @pytest.mark.parametrize("q, beta", [(1023, 1), (1024, 2)])
+    def test_values_near_one_at_q_1023_and_1024_decode_as_the_oracle(self, q, beta):
+        # their truncated ints reach 2**1024, beyond float64, before the block shift
+        p = CodecParams(1, 53, q, beta)
+        grid = np.random.default_rng(q).uniform(-1.0, 1.0, 400)
+        want = [float(v) for blk in grid.reshape(-1, 4).tolist()
+                for v in roundtrip_ref(blk, p).out_values]
+        assert decompress(compress(grid, p)).tolist() == want
 
     def test_q_1025_refused(self):
         with pytest.raises(ParamError, match="1024"):

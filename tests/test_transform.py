@@ -17,7 +17,7 @@ from zfpkit.codec import (
     transform_forward,
     transform_inverse,
 )
-from zfpkit.codec.pipeline import _lift_forward_line, _lift_inverse_line
+from zfpkit.codec.pipeline import _lift_forward_steps, _lift_inverse_line
 from zfpkit.experiments import gen_worst_case_block, trial_rng, measure
 
 # exact transform matrices, scaled to integers by 16 / 4
@@ -34,9 +34,7 @@ def exact_inverse(x):
 
 
 def lift_forward(vals, q=62):
-    a = list(vals)
-    _lift_forward_line(a, 0, 1, 2, 3, 1 << (q + 1))
-    return a
+    return list(_lift_forward_steps(*vals))
 
 
 def lift_inverse(vals):
@@ -117,11 +115,9 @@ def test_separability_matches_manual_axis_passes():
         got = transform_forward(BlockFP(tuple(x), q - 1, 0), p).ints
         manual = list(x)
         for r in range(4):  # rows: contiguous axis first
-            seg = manual[4 * r:4 * r + 4]
-            _lift_forward_line(seg, 0, 1, 2, 3, 1 << (q + 1))
-            manual[4 * r:4 * r + 4] = seg
+            manual[4 * r:4 * r + 4] = _lift_forward_steps(*manual[4 * r:4 * r + 4])
         for c in range(4):
-            _lift_forward_line(manual, c, c + 4, c + 8, c + 12, 1 << (q + 1))
+            manual[c::4] = _lift_forward_steps(*manual[c::4])
         assert tuple(manual) == got
 
 
@@ -146,9 +142,9 @@ class TestGuardEnvelope:
             transform_forward(fp, p)
 
     # Out-of-envelope lines (q = 9, envelope L = 2**10) whose line sums all
-    # stay inside it, so only the per-step checks catch them: (-3L, 0, 0, 3L)
-    # sums to 0 on its first line, and +/-1.2L passes every sum check and ends
-    # inside the envelope, with no error at all once the step checks are gone.
+    # stay inside it, so only the input check (every |x| <= 2**q) catches
+    # them: (-3L, 0, 0, 3L) sums to 0 on its first line, and +/-1.2L passes
+    # every sum check and ends inside the envelope.
     ESCAPES = [(-3072, 0, 0, 3072), (1228, 1228, -1228, -1228)]
 
     @pytest.mark.parametrize("ints", ESCAPES)
@@ -171,6 +167,17 @@ class TestGuardEnvelope:
         out = subprocess.run([sys.executable, "-O", "-c", probe], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "raised"
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_input_bound_is_2_to_the_q(self, d):
+        # +/-2**q passes and keeps every output within it; one more is refused
+        p = CodecParams(d, 13, 9, 1)
+        top = 1 << p.q
+        edge = tuple(top if i % 3 else -top for i in range(p.n))
+        assert max(map(abs, transform_forward(BlockFP(edge, 8, 0), p).ints)) <= top
+        for bad in (top + 1, -top - 1):
+            with pytest.raises(TransformOverflowError):
+                transform_forward(BlockFP((0,) * (p.n - 1) + (bad,), 8, 0), p)
 
     def test_legal_inputs_never_trip(self):
         # pipeline-legal inputs: |int| < 2**q after the shared-exponent stage
