@@ -143,8 +143,9 @@ def cmd_bounds(args) -> int:
         d_range = _parse_int_list(args.d_range)
         k, q = _precision(args)
         beta_range = _parse_int_list(args.beta_range) if args.beta_range else range(1, q + 3)
+        B.BoundInputs(d=1, k=k, q=q, beta=0)  # refuses k or q below 2 before any beta
+        _check_beta(max(beta_range, default=0), q)
         rows = B.kbeta_surface(d_range, beta_range, k, q)
-        _check_beta(max(beta_range), q)
         buf = io.StringIO()
         B.write_surface_csv(rows, buf)
         _emit(buf.getvalue(), args.out)

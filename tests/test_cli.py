@@ -206,7 +206,13 @@ class TestBoundsCommand:
         assert code == 0
         assert [int(line.split(",")[1]) for line in stdout.splitlines()[1:]] == list(range(1, 33))
 
-    def test_surface_beta_beyond_q_plus_2_refused(self, capsys):
+    def test_surface_beta_beyond_q_plus_2_refused_before_any_row(self, capsys, monkeypatch):
+        from zfpkit import bounds as B
+
+        def no_rows(*args):
+            raise AssertionError("a refused surface computed its rows")
+
+        monkeypatch.setattr(B, "kbeta_surface", no_rows)
         code, stdout, err = run(capsys, "bounds", "--surface", "--scalar", "f32",
                                 "--d-range", "1:2", "--beta-range", "8,33")
         assert code == 2 and stdout == ""
