@@ -388,16 +388,24 @@ def _sb_raw(sign: int, magnitude: BitString) -> SignedBinary:
 
 
 def _sb_from_int(v: int) -> SignedBinary:
-    """Signed binary digits of an integer (the body of ``SignedBinary.from_int``)."""
+    """Signed binary digits of an integer (the body of ``SignedBinary.from_int``).
+
+    The magnitude is anchored at its lowest one, as ``_bs_raw(|v|, 0)``
+    anchors it, without that call.
+    """
     sign = 0
     if v < 0:
         sign = 1
         v = -v
     elif v == 0:
         return _SB_ZERO
+    tz = (v & -v).bit_length() - 1
+    mag = _new(BitString)
+    _set_mask(mag, v >> tz)
+    _set_base(mag, tz)
     self = _new(SignedBinary)
     _set_sign(self, sign)
-    _set_magnitude(self, _bs_raw(v, 0))
+    _set_magnitude(self, mag)
     return self
 
 
@@ -477,24 +485,39 @@ def fn_decode(v: Negabinary) -> int:
     return _nega_mask_to_int(mask)
 
 
-def fn_encode(x: int) -> Negabinary:
-    """Negabinary digits of an integer, by repeated division by -2.
+def _nega8_table() -> tuple[tuple[int, int], ...]:
+    # every 8-digit negabinary string, keyed by its value mod 256: the 256
+    # values sum((-2)**i) over a mask's digits fill [-170, 85], one per residue
+    table = [None] * 256
+    for mask in range(256):
+        r = sum((-2) ** i for i in range(8) if mask >> i & 1)
+        table[r & 255] = (r, mask)
+    return tuple(table)
 
-    Each step divides with remainder normalized into {0, 1}; the remainders
-    are the digits from position 0 upward.  The quotient (x - r) / (-2) is
-    written (r - x) // 2: r - x is even, so the division is exact, and no
-    negative value is right-shifted.
+
+_NEGA8 = _nega8_table()
+
+
+def fn_encode(x: int) -> Negabinary:
+    """Negabinary digits of an integer, eight positions per step.
+
+    Each step takes the 8-digit string whose value r in [-170, 85] is
+    congruent to x mod 256 (``_NEGA8``, indexed by ``x & 255``); those are
+    the digits at the next eight positions.  The quotient (x - r) / 256 is
+    exact, since x - r is a multiple of 256, so no negative value is
+    right-shifted.  This is eight steps of division by -2 with remainder in
+    {0, 1}, as (-2)**8 = 256.
     """
     if not isinstance(x, int):
         raise TypeError("fn_encode takes an integer")
+    table = _NEGA8
     mask = 0
-    bit = 1
-    while x != 0:
-        r = x & 1
-        if r:
-            mask |= bit
-        x = (r - x) // 2
-        bit <<= 1
+    at = 0
+    while x:
+        r, digits = table[x & 255]
+        mask |= digits << at
+        x = (x - r) // 256
+        at += 8
     return Negabinary(_bs_raw(mask, 0))
 
 

@@ -6,7 +6,7 @@ fast path's two's-complement shortcuts: block floating point drops fractional
 digits of each exact magnitude, floor halving of a negative value shifts
 |v| + 1 (as :func:`zfpkit.bitvec.round_half` does), add and subtract are the
 exact integer sums of :func:`zfpkit.bitvec.sb_add`/:func:`zfpkit.bitvec.sb_sub`,
-negabinary digits come from the digit-by-digit :func:`zfpkit.bitvec.fn_encode`,
+negabinary digits come eight at a time from :func:`zfpkit.bitvec.fn_encode`,
 and significand truncation keeps the top k bits of the magnitude.  No
 negative int is ever right-shifted here.  ``SignedBinary``/``Negabinary``
 values are built once per :class:`RefTrace` field, from those ints.
@@ -33,6 +33,7 @@ from ..bitvec import (
     fn_decode,
     fn_encode,
     sb_value,
+    _sb_from_int,
     truncate,
 )
 from .params import CodecParams
@@ -60,11 +61,10 @@ class RefTrace:
 
 
 _ZERO = SignedBinary(0, BitString.EMPTY)
-_from_int = SignedBinary.from_int
 
 
 def _sbs(ints) -> tuple[SignedBinary, ...]:
-    return tuple(map(_from_int, ints))
+    return tuple(map(_sb_from_int, ints))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,11 @@ def from_negabinary_ref(elems: Sequence[Negabinary]) -> tuple[SignedBinary, ...]
 
 def bitplane_truncate_ref(elems: Sequence[Negabinary], p: CodecParams) -> tuple[Negabinary, ...]:
     cutoff = p.q + 1 - p.beta
-    return tuple(Negabinary(truncate(nb.digits, cutoff)) for nb in elems)
+    out = []
+    for nb in elems:
+        kept = truncate(nb.digits, cutoff)
+        out.append(nb if kept is nb.digits else Negabinary(kept))
+    return tuple(out)
 
 
 def significand_truncate_ref(v: SignedBinary, k: int) -> SignedBinary:

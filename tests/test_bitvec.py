@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zfpkit import bitvec
 from zfpkit.bitvec import (
     BitString,
     BitVectorBlock,
@@ -28,6 +29,7 @@ from zfpkit.bitvec import (
     shift,
     truncate,
 )
+from zfpkit.bitvec import _NEGA8, _sb_from_int
 
 ints_16 = st.integers(min_value=-(1 << 16), max_value=1 << 16)
 ints_wide = st.integers(min_value=-(1 << 80), max_value=1 << 80)
@@ -129,6 +131,79 @@ class TestNegabinary:
         nb = fn_encode(v)
         e_max = nb.digits.highest()
         assert 3 * abs(v) >= 1 << e_max
+
+
+def digit_fn_encode(x: int) -> Negabinary:
+    """Negabinary digits by repeated division by -2: the reference for ``fn_encode``.
+
+    Each step divides with remainder normalized into {0, 1}; the remainders
+    are the digits from position 0 upward.  The quotient (x - r) / (-2) is
+    written (r - x) // 2: r - x is even, so the division is exact.
+    """
+    mask = 0
+    bit = 1
+    while x != 0:
+        r = x & 1
+        if r:
+            mask |= bit
+        x = (r - x) // 2
+        bit <<= 1
+    return Negabinary(BitString.from_uint(mask))
+
+
+def fn_encode_mismatches(values):
+    """The values whose ``fn_encode`` digits differ from ``digit_fn_encode``'s."""
+    return [v for v in values if fn_encode(v) != digit_fn_encode(v)]
+
+
+def power_of_two_neighbours(top: int):
+    return [s * ((1 << j) + e) for j in range(top + 1) for e in (-1, 0, 1) for s in (1, -1)]
+
+
+class TestFnEncodeEightDigits:
+    def test_equals_digit_by_digit_exhaustive_small(self):
+        assert fn_encode_mismatches(range(-(1 << 16), (1 << 16) + 1)) == []
+
+    @given(ints_wide)
+    def test_equals_digit_by_digit_wide(self, v):
+        assert fn_encode(v) == digit_fn_encode(v)
+
+    def test_equals_digit_by_digit_near_powers_of_two(self):
+        assert fn_encode_mismatches(power_of_two_neighbours(1030)) == []
+
+    def test_equals_digit_by_digit_at_residue_edges(self):
+        assert fn_encode_mismatches([-171, -170, 85, 86]) == []
+
+    def test_table_holds_each_residue_once(self):
+        residues = [r for r, _ in _NEGA8]
+        assert len(_NEGA8) == 256
+        assert sorted(residues) == list(range(-170, 86))
+        for index, (r, mask) in enumerate(_NEGA8):
+            assert r & 255 == index
+            assert 0 <= mask < 256
+            assert fn_decode(Negabinary(BitString.from_uint(mask))) == r
+
+    def test_swapped_table_entries_are_caught(self, monkeypatch):
+        table = list(_NEGA8)
+        table[1], table[2] = table[2], table[1]
+        monkeypatch.setattr(bitvec, "_NEGA8", tuple(table))
+        assert fn_encode_mismatches(range(-300, 301)) != []
+
+
+class TestSignedBinaryFromInt:
+    @staticmethod
+    def checked(v: int) -> SignedBinary:
+        mag = abs(v)
+        positions = [i for i in range(mag.bit_length()) if mag >> i & 1]
+        return SignedBinary(1 if v < 0 else 0, BitString(positions))
+
+    @given(ints_wide)
+    def test_equals_checked_constructors(self, v):
+        assert _sb_from_int(v) == self.checked(v)
+
+    def test_zero_and_powers_of_two(self):
+        for v in [0] + power_of_two_neighbours(1030):
+            assert _sb_from_int(v) == self.checked(v), v
 
 
 class TestTruncateShift:
