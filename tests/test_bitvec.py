@@ -157,6 +157,7 @@ def fn_encode_mismatches(values):
 
 
 def power_of_two_neighbours(top: int):
+    """±2^j and ±2^j ± 1 for every j <= top."""
     return [s * ((1 << j) + e) for j in range(top + 1) for e in (-1, 0, 1) for s in (1, -1)]
 
 
