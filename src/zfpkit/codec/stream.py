@@ -38,11 +38,15 @@ expression, which states the record grammar (zero flag, exponent field,
 beta planes of a test bit and n digits if it is 1, pad to the byte) and
 steps over the planes in C (:func:`_record_starts`).  It then reads the
 exponent fields of the run in one array step, and :func:`_gather_digits`
-turns the coded planes into digit masks.
+turns the coded planes into digit masks: it takes each plane's n digits
+as one n-byte item of a view of the run's bits, one index per plane.
 :func:`_plane_starts` is the one place that places planes, so it also names
-a plane that the stream cuts off.  A block whose reconstruction is not a
-finite float64 makes ``decompress`` raise :class:`DecodeError` naming the
-first such block.
+a plane that the stream cuts off, and tells which planes are coded.
+:func:`_decode` decodes consecutive reader runs together, at least
+``_GROUP_VALUES`` values per ``batch.decode_blocks`` call, and still yields
+each run.  A block whose reconstruction is not a finite float64 makes
+``decompress`` raise :class:`DecodeError` naming the first such block, even
+when the reader meets a fault in a later run of its group.
 """
 
 from __future__ import annotations
@@ -54,7 +58,6 @@ from functools import lru_cache
 from itertools import islice
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .blocks import GridShapeError, _block_array, block_count, unpartition
 from .params import CodecParams, ParamError
@@ -68,6 +71,7 @@ _EXPONENT_BITS_RANGE = range(2, 33)
 _MAX_BLOCK_EXPONENT = 1023  # largest exponent of a finite float64
 
 _FLAG_WIDE_BETA = 0x01
+_GROUP_VALUES = 1 << 14  # fewest values of the reader runs decoded together (see _decode)
 
 
 class ContainerError(ValueError):
@@ -319,7 +323,10 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
     bits.  Plane j of a record is digit position q + 1 - j.  Returns one row
     of n masks per record (see :func:`_masks`).  Raises DecodeError for the
     first record, named ``blocks[i]``, whose planes run past the ``limit``
-    stream bits, and the first of its planes that does.
+    stream bits, and the first of its planes that does.  A plane's n digits
+    are one n-byte item of a 1-D view that starts an item at every stream
+    bit, so one index per plane copies them; a plane is coded where it is
+    longer than its test bit, as :func:`_plane_starts` placed it.
     """
     at = _plane_starts(stream, pos, p)
     cut = at[-1] > limit
@@ -333,10 +340,11 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
 
         return np.zeros((len(pos), p.n), dtype=_digit_type(p))
     # a coded plane's n digits follow its test bit; an empty plane reads the zero tail
-    start = np.where(stream[at[:-1]], at[:-1] + 1, len(stream) - p.n)
-    # row i of this read-only view is stream[i:i + n]
-    window = as_strided(stream, (len(stream) - p.n + 1, p.n), (1, 1), writeable=False)
-    return _masks(window[start.T], p)  # (records, beta, n) plane bits
+    start = np.where(np.diff(at, axis=0) > 1, at[:-1] + 1, len(stream) - p.n)
+    # item i of this view is stream[i:i + n]
+    items = np.ndarray((len(stream) - p.n + 1,), dtype=f"V{p.n}", buffer=stream, strides=(1,))
+    planes = items[start].view(np.uint8).reshape(p.beta, len(pos), p.n)
+    return _masks(planes.transpose(1, 0, 2), p)
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
@@ -496,27 +504,58 @@ def _read_records(data: bytes, offset: int, header: ArrayHeader, params: CodecPa
         raise ContainerError(f"{len(data) - offset} trailing bytes after the last block")
 
 
+def _grouped(runs, values: int):
+    """Lists of consecutive ``runs`` that hold at least ``values`` values, the last maybe fewer.
+
+    A run is (first, e_max, digits) of :func:`_read_records`.  A
+    ContainerError from ``runs`` is raised after the list of the runs read
+    before it, so that their blocks are checked first.
+    """
+    held, size = [], 0
+    try:
+        for run in runs:
+            held.append(run)
+            size += run[2].size
+            if size >= values:
+                yield held
+                held, size = [], 0
+    except ContainerError:
+        if held:
+            yield held
+        raise
+    if held:
+        yield held
+
+
 def _decode(data: bytes):
     """The header and a generator of (first, values) runs of every block, padding included.
 
     ``values`` holds the decoded blocks ``first``, ``first + 1``, ... as
-    (blocks, 4**d).  The header is read at once; the generator raises
-    DecodeError at the first block whose reconstruction is not a finite
-    float64.
+    (blocks, 4**d), one item per reader run of ``batch.chunk_rows`` blocks.
+    A group of consecutive reader runs, the fewest that hold
+    ``_GROUP_VALUES`` values (the last group maybe fewer), is decoded by one
+    ``batch.decode_blocks`` call: at d = 3 and the f64 default maximum beta
+    that is four 68-block runs.  Every run but the last has the same size,
+    so a group of several runs holds fewer than 2 * ``_GROUP_VALUES``
+    values, half the largest run.  The header is read at once; the
+    generator raises DecodeError at the first block whose reconstruction is
+    not a finite float64, and a ContainerError of the reader only after the
+    runs read before it are decoded and checked.
     """
     header, offset = read_header(data)
     params = header.params()
     from . import batch
 
     def runs():
-        for first, e_max, digits in _read_records(data, offset, header, params,
-                                                  batch.chunk_rows(params)):
-            values = batch.decode_blocks(e_max, digits, params)
+        records = _read_records(data, offset, header, params, batch.chunk_rows(params))
+        for group in _grouped(records, _GROUP_VALUES):
+            firsts, e_max, digits = zip(*group)
+            values = batch.decode_blocks(np.concatenate(e_max), np.concatenate(digits), params)
             finite = np.isfinite(values).all(axis=1)
             if not finite.all():
                 raise DecodeError("reconstructed value exceeds the float64 range",
-                                  block=first + int(np.argmin(finite)))
-            yield first, values
+                                  block=firsts[0] + int(np.argmin(finite)))
+            yield from zip(firsts, np.split(values, np.subtract(firsts[1:], firsts[0])))
 
     return header, runs()
 

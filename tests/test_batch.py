@@ -245,6 +245,29 @@ def test_largest_runs_keep_memory_bounded():
     assert decompress_peak < 2 * grid.nbytes + 5_000_000
 
 
+def test_decode_groups_keep_memory_bounded():
+    import tracemalloc
+
+    from zfpkit.codec import stream
+
+    # 1024-block runs of 4096 values at beta 62: the whole grid is one decode group
+    p = CodecParams(1, 53, 62, 62)
+    assert batch.chunk_rows(p) == 1024
+    grid = np.random.default_rng(16).standard_normal(16384)
+    assert grid.size == stream._GROUP_VALUES
+    data = compress(grid, p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        decompress(data)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # about 2.1 MB, most of it one run's bit arrays; the group's digit masks
+    # and values are 128 kB each
+    assert peak < 2 * grid.nbytes + 2_500_000
+
+
 def test_forward_keeps_its_range_checks(monkeypatch):
     from zfpkit.codec import NegabinaryRangeError, TransformOverflowError
 

@@ -32,7 +32,6 @@ from zfpkit.codec import (
 from zfpkit.codec.stream import (
     _MAX_BLOCK_EXPONENT,
     _decode,
-    _gather_digits,
     _read_run,
     _stream_bits,
 )
@@ -225,6 +224,50 @@ class TestContainer:
         assert firsts == tuple(range(0, header.block_count, batch.chunk_rows(p)))
         assert len(firsts) > 2
         assert np.array_equal(unpartition(np.concatenate(values), grid.shape), decompress(data))
+
+    @pytest.mark.parametrize("damage", ["cut", "trailing"])
+    def test_reader_fault_in_a_group_comes_after_its_earlier_blocks(self, monkeypatch, damage):
+        from zfpkit.codec import batch
+        from zfpkit.codec.stream import _read_records
+
+        # four 16-block runs, decoded as one group; block 0 decodes beyond float64
+        monkeypatch.setattr(batch, "chunk_rows", lambda p: 16)
+        p = CodecParams(3, 53, 62, 4)
+        grid = np.random.default_rng(0).uniform(-1.0, 1.0, (16, 16, 16))
+        grid[:4, :4, :4] *= 1.7e308
+        data = compress(grid, p)
+        bad = data[:-100] if damage == "cut" else data + b"\x00"
+        header, offset = read_header(bad)
+        # the reader alone meets a fault past the first run
+        fault_text = "stream ends" if damage == "cut" else "trailing"
+        with pytest.raises(ContainerError, match=fault_text) as fault:
+            for _ in _read_records(bad, offset, header, p, 16):
+                pass
+        assert damage == "trailing" or fault.value.block >= 16
+        with pytest.raises(DecodeError, match="float64 range") as info:
+            decompress(bad)
+        assert info.value.block == 0
+
+    def test_production_runs_decode_in_one_group(self, monkeypatch):
+        from zfpkit.codec import batch
+        from zfpkit.codec.stream import _read_records
+
+        p = CodecParams(3, 53, 62, 58)  # the default maximum beta: 68-block runs
+        assert batch.chunk_rows(p) == 68
+        grid = np.random.default_rng(24).standard_normal((24, 24, 24))
+        data = compress(grid, p)
+        header, offset = read_header(data)
+        want = [(first, batch.decode_blocks(e_max, digits, p))
+                for first, e_max, digits in _read_records(data, offset, header, p, 68)]
+        calls = []
+        decode_blocks = batch.decode_blocks
+        monkeypatch.setattr(batch, "decode_blocks",
+                            lambda *args: calls.append(len(args[0])) or decode_blocks(*args))
+        got = list(_decode(data)[1])
+        assert calls == [216]
+        assert [first for first, _ in got] == list(range(0, 216, 68))
+        for (first, values), (want_first, want_values) in zip(got, want, strict=True):
+            assert first == want_first and values.tobytes() == want_values.tobytes()
 
     def test_inconsistent_header_parameters_refused(self):
         # wide beta stored without the opt-in flag is an invalid container
@@ -566,12 +609,19 @@ class TestDefaultExponentWidth:
 
 
 def loop_read_run(window, first, count, header, params):
-    """The container reader as one Python step per plane: the reference for ``_read_run``."""
-    b_e = header.b_e
+    """The container reader as one Python step per plane: the reference for ``_read_run``.
+
+    Each coded plane's n digits are read bit by bit into Python int masks,
+    without any of the reader's array code.
+    """
+    from zfpkit.codec.batch import _digit_type
+
+    b_e, n, q = header.b_e, params.n, params.q
     prologue = 1 + b_e
-    bits = memoryview(_stream_bits(window, params))
+    bits = _stream_bits(window, params).tolist()
     limit = 8 * len(window)
     planes_at = np.zeros(count, dtype=np.int64)
+    ends, masks = {}, {}  # per nonzero record: where each plane ends, its n masks
     at = 0
     for r in range(count):
         if at >= limit or (not bits[at] and at + prologue > limit):
@@ -580,13 +630,20 @@ def loop_read_run(window, first, count, header, params):
             at += 8
             continue
         planes_at[r] = at = at + prologue
-        for _ in range(params.beta):
-            at += params.n + 1 if bits[at] else 1
+        ends[r], masks[r] = [], [0] * n
+        for j in range(params.beta):
+            if bits[at]:
+                for c in range(n):
+                    masks[r][c] |= bits[at + 1 + c] << (q + 1 - j)
+                at += n + 1
+            else:
+                at += 1
+            ends[r].append(at)
         at = (at + 7) & -8
     else:
         r = count
     live = np.flatnonzero(planes_at)
-    stream = np.asarray(bits)
+    stream = np.array(bits, dtype=np.uint8)
     field = stream[planes_at[live, None] - np.arange(b_e, 0, -1)]
     e_max = np.zeros(count, dtype=np.int64)
     e_max[live] = field @ (1 << np.arange(b_e - 1, -1, -1)) - ((1 << (b_e - 1)) - 1)
@@ -595,21 +652,25 @@ def loop_read_run(window, first, count, header, params):
         i = int(over.argmax())
         raise DecodeError(f"block exponent {e_max[i]} exceeds {_MAX_BLOCK_EXPONENT}, "
                           "the largest exponent of a finite float64", block=first + i)
-    masks = _gather_digits(stream, planes_at[live], params, limit, first + live)
+    for i in live.tolist():
+        if ends[i] and ends[i][-1] > limit:
+            raise DecodeError("stream ends inside plane payload", block=first + i,
+                              plane=sum(end <= limit for end in ends[i]))
     if r < count:
         raise DecodeError("stream ends inside block prologue", block=first + r)
-    digits = np.zeros((count, params.n), dtype=masks.dtype)
-    digits[live] = masks
+    digits = np.zeros((count, n), dtype=_digit_type(params))
+    for i in live.tolist():
+        digits[i] = masks[i]
     return e_max, digits, at // 8
 
 
 def read_outcome(reader, window, first, count, header, params):
-    """(e_max, digits, bytes read) as lists, or the DecodeError's (text, block, plane)."""
+    """(e_max, digits, digit dtype, bytes read), or the DecodeError's (text, block, plane)."""
     try:
         e_max, digits, used = reader(window, first, count, header, params)
     except DecodeError as e:
         return "error", str(e), e.block, e.plane
-    return "ok", e_max.tolist(), digits.tolist(), used
+    return "ok", e_max.tolist(), digits.tolist(), str(digits.dtype), used
 
 
 def reader_header(d, q, beta, b_e):
