@@ -12,9 +12,12 @@ specification wherever that computation does not model numpy's.  A
 property test compares the two bit for bit, so it fails if a numpy release
 changes a stream.
 
-:func:`measure` is the specification of one trial.  Sweeps round-trip a
-run of trials at once through the batch stages of :mod:`.codec.batch`,
-and grid analysis reads its own container; both then judge every block
+:func:`measure` is the specification of one trial.  A sweep runs the
+cells of one beta as one stream of trials (:func:`_run_beta`), a run of
+them at a time through the batch stages of :mod:`.codec.batch`; a run may
+cross cells, so its rows carry their own cell index and band top, and the
+results are split back into cells.  Grid analysis reads its own
+container.  Both then judge every block
 with one exact check, :func:`_check_run`.  Its float filter,
 :func:`_clear_rows`, clears a block only where float bounds rounded
 outward prove it within the bound, and reports the same floats as
@@ -196,27 +199,33 @@ def _uint32_words(v: int) -> list[int]:
     return words
 
 
-def _seed_state(entropy: list[np.ndarray]) -> list[np.ndarray]:
+def _seed_state(entropy: list) -> list[np.ndarray]:
     """The 8 uint32 words of ``SeedSequence(entropy).generate_state(4, np.uint64)`` per lane.
 
-    ``entropy`` holds one uint32 array per entropy word.  The hash constant
-    advances by call, not by value, so it is the same Python int in every lane.
+    ``entropy`` holds one entry per entropy word: a uint32 array of one
+    value per lane, or an int that every lane shares.  A shared word is
+    hashed as an int, reduced mod 2**32 where the uint32 lanes would wrap,
+    until it meets a lane word; at least one word must vary by lane.  The
+    hash constant advances by call, not by value, so it is the same Python
+    int in every lane.
     """
     h = _INIT_A
+
+    def wrap(v):
+        return v & _M32 if isinstance(v, int) else v
 
     def hashmix(v):
         nonlocal h
         v = v ^ h
         h = h * _MULT_A & _M32
-        v = v * h
+        v = wrap(v * h)
         return v ^ (v >> 16)
 
     def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
+        r = wrap(wrap(x * _MIX_L) - wrap(y * _MIX_R))
         return r ^ (r >> 16)
 
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
-            for i in range(4)]
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
     for src in range(4):
         for dst in range(4):
             if src != dst:
@@ -285,33 +294,53 @@ def _pcg_outputs(s: list[np.ndarray], inc: list[np.ndarray], outputs: int) -> np
     return (v >> rot) | (v << ((64 - rot) & 63))
 
 
-def _draw_trials(d: int, e_min: int, e_max: int, float32: bool, seed: int, cell_index: int,
-                 first: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks of trials ``first`` .. ``first + m - 1`` of one cell and which rows to redraw.
+def _per_row(v, fn):
+    """fn(v) for a scalar v; for an int ndarray, fn of each element, once per distinct value."""
+    if not isinstance(v, np.ndarray):
+        return fn(v)
+    keys, at = np.unique(v, return_inverse=True)
+    return np.array([fn(int(key)) for key in keys])[at]
+
+
+def _draw_trials(d: int, e_min: int, e_max, float32: bool, seed: int, cell_index,
+                 first, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of ``m`` trials and which rows to redraw.
 
     Row r equals ``gen_worst_case_block(d, e_min, e_max, trial_rng(seed,
-    cell_index, first + r), float32)`` wherever its redraw flag is off.  A
-    flag is on where a Fisher-Yates draw would take numpy's Lemire redraw
-    path, and on every row when the entropy is not modelled here (a seed
-    that is not a non-negative int, a trial index from 2**32).  A trial uses
-    2n outputs: n doubles, n sign coins as uint32 halves of n/2 outputs, and
-    n - 1 Fisher-Yates draws (r = n .. 2) from the last n/2; n is even, so
-    no uint32 half carries over between the phases.
+    cell_index, first + r), float32)`` wherever its redraw flag is off.
+    ``e_max``, ``cell_index`` and ``first`` may instead be int arrays of one
+    value per row, ``first`` then holding each row's trial index, so that a
+    run of trials may cross cells.  A flag is on where a Fisher-Yates draw
+    would take numpy's Lemire redraw path; on every row when the entropy is
+    not modelled here (a seed that is not a non-negative int, a trial index
+    from 2**32); and on the rows whose cell index takes another number of
+    uint32 entropy words than row 0's.  A trial uses 2n outputs: n doubles,
+    n sign coins as uint32 halves of n/2 outputs, and n - 1 Fisher-Yates
+    draws (r = n .. 2) from the last n/2; n is even, so no uint32 half
+    carries over between the phases.
     """
     n = 4 ** d
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0 and first + m <= 2 ** 32):
+    trials = first if isinstance(first, np.ndarray) else np.arange(first, first + m)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0 and int(trials.max()) < 2 ** 32):
         return np.zeros((m, n)), np.ones(m, dtype=bool)
-    entropy = [np.full(m, w, dtype=np.uint32)
-               for w in _uint32_words(int(seed)) + _uint32_words(cell_index)]
-    entropy.append(np.arange(first, first + m).astype(np.uint32))
+    other = None
+    if not isinstance(cell_index, np.ndarray):
+        cell_words = _uint32_words(int(cell_index))
+    else:
+        cells = cell_index.astype(np.uint64)
+        count = len(_uint32_words(int(cells[0])))
+        other = np.where(cells >> 32 == 0, 1, 2) != count  # an index below 2**64 takes 1 or 2
+        cell_words = [(cells >> (32 * i) & _M32).astype(np.uint32) for i in range(count)]
+    entropy = _uint32_words(int(seed)) + cell_words + [trials.astype(np.uint32)]
     w = [v.astype(np.uint64)[:, None] for v in _seed_state(entropy)]
     # generate_state words pair into uint64 s0..s3; S = s0:s1, inc = (s2:s3 << 1) | 1
     s = [w[2], w[3], w[0], w[1]]
     inc = [((w[6] << 1) | 1) & _M32, ((w[7] << 1) | (w[6] >> 31)) & _M32,
            ((w[4] << 1) | (w[7] >> 31)) & _M32, ((w[5] << 1) | (w[4] >> 31)) & _M32]
     out = _pcg_outputs(s, inc, 2 * n)
-    edges = np.array(_band_edges(e_min, e_max, n))
-    vals = edges[:-1] + (edges[1:] - edges[:-1]) * ((out[:, :n] >> 11) * 2.0 ** -53)
+    edges = np.array(_per_row(e_max, lambda top: _band_edges(e_min, top, n)))
+    lo, hi = edges[..., :-1], edges[..., 1:]
+    vals = lo + (hi - lo) * ((out[:, :n] >> 11) * 2.0 ** -53)
     if float32:
         vals = vals.astype(np.float32).astype(np.float64)
     halves = np.stack((out[:, n:] & _M32, out[:, n:] >> 32), axis=2).reshape(m, 2 * n)
@@ -319,6 +348,8 @@ def _draw_trials(d: int, e_min: int, e_max: int, float32: bool, seed: int, cell_
     r = np.arange(n, 1, -1, dtype=np.uint64)
     scaled = halves[:, n:2 * n - 1] * r  # Lemire: the draw is (u32 * r) >> 32
     redraw = ((scaled & _M32) < (2 ** 32 - r) % r).any(axis=1)
+    if other is not None:
+        redraw |= other
     picks = (scaled >> 32).astype(np.intp)
     lanes = np.arange(m)
     for col, i in enumerate(range(n - 1, 0, -1)):
@@ -468,13 +499,14 @@ def _float_below(r: Fraction) -> float:
     return math.nextafter(f, 0.0) if Fraction(f) > r else f
 
 
-def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None):
+def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho):
     """Which rows of (xs, ws) a float filter proves within ``bound``, and their errors.
 
     Returns (clear, err_block, err_comp) per row.  Row r is clear only when
     outward-rounded float bounds prove the comparisons of :func:`measure`:
     max|w - x| <= bound * max|x| and, unless ``rho`` is None,
-    |w_i - x_i| <= bound * 2**rho * |x_i| for every x_i != 0.  Each row is
+    |w_i - x_i| <= bound * 2**rho * |x_i| for every x_i != 0, where ``rho``
+    is one int or an int array of one value per row.  Each row is
     scaled by a power of two so that its operands lie in [2**-(_SPAN+1), 1),
     and ``w - x = s + t`` exactly by TwoSum, so |w - x| <= |s| + ulp(s)/2
     <= fl(|s| * _UP), while fl(fl(K * |x|) * _DOWN) <= K * |x| for a float
@@ -511,7 +543,8 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
     lim = _float_below(bound) * max_x * _DOWN
     ok = (max_s * _UP <= lim) & (lim >= _TINY)
     if rho is not None:
-        lim = _float_below(bound * 2 ** rho) * abs_x * _DOWN
+        k = _per_row(rho, lambda r: _float_below(bound * 2 ** r))
+        lim = (k[rows, None] if isinstance(k, np.ndarray) else k) * abs_x * _DOWN
         ok &= ((abs_x == 0.0) | ((abs_s * _UP <= lim) & (lim >= _TINY))).all(axis=1)
     rows, x, w, s, t, abs_s, abs_x, max_s, max_x = (
         v[ok] for v in (rows, x, w, s, t, abs_s, abs_x, max_s, max_x))
@@ -546,17 +579,19 @@ def _clear_rows(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None
     return clear, err_block, err_comp
 
 
-def _check_run(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho: int | None):
+def _check_run(xs: np.ndarray, ws: np.ndarray, bound: Fraction, rho):
     """(err_block, err_comp, violation) per row of blocks ``xs`` decoded to ``ws``.
 
     The floats and verdicts of :func:`_exact_errors`: :func:`_clear_rows`
     clears what it can, and every other row is compared in exact ints.
+    ``rho`` is None, one int, or an int array of one value per row.
     """
     clear, err_block, err_comp = _clear_rows(xs, ws, bound, rho)
     violation = np.zeros(len(xs), dtype=bool)
     for r in np.flatnonzero(~clear).tolist():
+        rho_r = int(rho[r]) if isinstance(rho, np.ndarray) else rho
         err_block[r], err_comp[r], violation[r] = _exact_errors(
-            xs[r].tolist(), ws[r].tolist(), bound, rho)
+            xs[r].tolist(), ws[r].tolist(), bound, rho_r)
     return err_block, err_comp, violation
 
 
@@ -578,53 +613,83 @@ def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
     return out
 
 
-def _run_cell(spec: WorstCaseSpec, cell_index: int, rho: int, beta: int):
-    """One cell, a run of :func:`.codec.batch.chunk_rows` trials at a time.
+def _run_beta(spec: WorstCaseSpec, p: CodecParams, cells: list[tuple[int, int]]):
+    """The cells ``(cell_index, rho)`` of one beta, run as one stream of trials.
 
-    :func:`_check_run` judges every trial, and only a violating trial goes
-    to :func:`measure` for its ExperimentRecord.  Sums run in trial order,
-    so the cell equals a per-trial loop over :func:`measure` bit for bit.
-    A trial that decodes beyond the float64 range raises ValueError.
+    The stream holds every trial of the first cell, then of the next, and
+    takes :func:`.codec.batch.chunk_rows` of them at a time through
+    :func:`_draw_trials`, :func:`_round_trip` and :func:`_check_run`, so a
+    run may cross cells.  Only a violating trial goes to :func:`measure` for
+    its ExperimentRecord.  Each cell's errors are summed in trial order, so
+    a cell equals a per-trial loop over :func:`measure` bit for bit.
+
+    Returns ``(results, None)``, one ``(SweepCell, violators)`` per cell,
+    or ``(None, (cell_index, error))`` for the lowest cell whose trials
+    raise: a ValueError for a trial that decodes beyond the float64 range,
+    or what the stages raise.  In a stream of several cells, the cells of a
+    failing run are run again one at a time; a single cell's runs are those
+    of a loop over single cells, so the error is the one that loop raises.
     """
     from .codec import batch
 
-    p = CodecParams(spec.d, spec.k, spec.q, beta, allow_wide_beta=spec.allow_wide_beta)
-    e_max = spec.e_min + rho
+    trials = spec.trials
+    total = len(cells) * trials
+    err_block, err_comp = np.empty(total), np.empty(total)
+    violators: list[list[ExperimentRecord]] = [[] for _ in cells]
     bound = applicable_bound_exact(p)
-    errs: list[tuple[float, float]] = []
-    violators: list[ExperimentRecord] = []
     rows = batch.chunk_rows(p)
-    for first in range(0, spec.trials, rows):
-        m = min(rows, spec.trials - first)
-        blocks, redraw = _draw_trials(spec.d, spec.e_min, e_max, spec.float32, spec.seed,
-                                      cell_index, first, m)
-        for r in np.flatnonzero(redraw).tolist():
-            blocks[r] = gen_worst_case_block(spec.d, spec.e_min, e_max,
-                                             trial_rng(spec.seed, cell_index, first + r),
-                                             spec.float32)
-        out = _round_trip(blocks, p)
-        finite = np.isfinite(out).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"trial {first + int(finite.argmin())} of the cell rho={rho}, "
-                             f"beta={beta} decodes beyond the float64 range")
-        err_block, err_comp, violation = _check_run(blocks, out, bound, rho)
-        violators += [measure(blocks[r].tolist(), p, e_min=spec.e_min, e_max=e_max,
-                              seed=spec.seed, trial=first + r, bound=bound)
-                      for r in np.flatnonzero(violation).tolist()]
-        errs += zip(err_block.tolist(), err_comp.tolist())
-    blk_sum = cmp_sum = 0.0
-    for b, c in errs:
-        blk_sum += b
-        cmp_sum += c
-    blk, cmp = zip(*errs)
-    cell = SweepCell(
-        d=spec.d, k=spec.k, q=spec.q, beta=beta, e_min=spec.e_min, e_max=e_max,
-        err_block_min=min(blk), err_block_max=max(blk), err_block_mean=blk_sum / spec.trials,
-        err_comp_min=min(cmp), err_comp_max=max(cmp), err_comp_mean=cmp_sum / spec.trials,
-        k_beta=float(bound), comp_bound=float(bound) * float(2 ** rho),
-        violations=len(violators),
-    )
-    return cell, violators
+    for start in range(0, total, rows):
+        stop = min(start + rows, total)
+        at, first = divmod(start, trials)
+        if at == (stop - 1) // trials:  # a run inside one cell passes scalars, which broadcast
+            cell, rho = cells[at]
+        else:
+            lanes, first = np.divmod(np.arange(start, stop), trials)
+            cell, rho = np.array(cells)[lanes].T
+        try:
+            blocks, redraw = _draw_trials(spec.d, spec.e_min, spec.e_min + rho, spec.float32,
+                                          spec.seed, cell, first, stop - start)
+            for r in np.flatnonzero(redraw).tolist():
+                k, t = divmod(start + r, trials)
+                blocks[r] = gen_worst_case_block(spec.d, spec.e_min, spec.e_min + cells[k][1],
+                                                 trial_rng(spec.seed, cells[k][0], t),
+                                                 spec.float32)
+            out = _round_trip(blocks, p)
+            finite = np.isfinite(out).all(axis=1)
+            if not finite.all():
+                k, t = divmod(start + int(finite.argmin()), trials)
+                raise ValueError(f"trial {t} of the cell rho={cells[k][1]}, beta={p.beta} "
+                                 f"decodes beyond the float64 range")
+            err_block[start:stop], err_comp[start:stop], violation = _check_run(
+                blocks, out, bound, rho)
+            for r in np.flatnonzero(violation).tolist():
+                k, t = divmod(start + r, trials)
+                violators[k].append(measure(blocks[r].tolist(), p, e_min=spec.e_min,
+                                            e_max=spec.e_min + cells[k][1], seed=spec.seed,
+                                            trial=t, bound=bound))
+        except (ArithmeticError, RuntimeError, ValueError) as error:
+            if len(cells) == 1:
+                return None, (cells[0][0], error)
+            for k in range(start // trials, (stop - 1) // trials + 1):
+                _, failure = _run_beta(spec, p, [cells[k]])
+                if failure:
+                    return None, failure
+            raise
+    results = []
+    for k, (cell, rho) in enumerate(cells):
+        blk = err_block[k * trials:(k + 1) * trials].tolist()
+        cmp = err_comp[k * trials:(k + 1) * trials].tolist()
+        blk_sum = cmp_sum = 0.0
+        for b, c in zip(blk, cmp):
+            blk_sum += b
+            cmp_sum += c
+        results.append((SweepCell(
+            d=spec.d, k=spec.k, q=spec.q, beta=p.beta, e_min=spec.e_min, e_max=spec.e_min + rho,
+            err_block_min=min(blk), err_block_max=max(blk), err_block_mean=blk_sum / trials,
+            err_comp_min=min(cmp), err_comp_max=max(cmp), err_comp_mean=cmp_sum / trials,
+            k_beta=float(bound), comp_bound=float(bound) * float(2 ** rho),
+            violations=len(violators[k])), violators[k]))
+    return results, None
 
 
 def thread_budget(requested: int | None = None) -> int:
@@ -647,23 +712,44 @@ def thread_budget(requested: int | None = None) -> int:
 def sweep(spec: WorstCaseSpec, threads: int | None = None):
     """Run every (rho, beta) cell; returns (cells, violating records).
 
+    The cells of one beta run as one stream of trials (:func:`_run_beta`),
+    and a worker pool takes a beta at a time, so a sweep of one beta runs in
+    one process.  Every beta's CodecParams is built before any trial runs.
     Results are identical whatever the worker count, because each trial's
     RNG stream depends only on (seed, cell index, trial index) and cells
-    are gathered in enumeration order.
+    are gathered in enumeration order.  When trials fail, the error raised
+    is the one of the lowest failing cell, as a loop over the cells in
+    enumeration order would raise it.
     """
-    cells = spec.cells()
     n_workers = thread_budget(threads)
-    if n_workers > 1 and len(cells) > 1:
+    params = {beta: CodecParams(spec.d, spec.k, spec.q, beta,
+                                allow_wide_beta=spec.allow_wide_beta)
+              for beta in spec.betas}
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for cell, rho, beta in spec.cells():
+        groups.setdefault(beta, []).append((cell, rho))
+    if n_workers > 1 and len(groups) > 1:
         # imported here: the pool machinery costs every `import zfpkit` ~17 ms
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(n_workers, len(cells))) as pool:
-            results = list(pool.map(_run_cell, repeat(spec), *zip(*cells)))
+        with ProcessPoolExecutor(max_workers=min(n_workers, len(groups))) as pool:
+            outcomes = list(pool.map(_run_beta, repeat(spec), map(params.get, groups),
+                                     groups.values()))
     else:
-        results = [_run_cell(spec, *cell) for cell in cells]
-    cells = [cell for cell, _ in results]
-    violators = [rec for _, recs in results for rec in recs]
-    return cells, violators
+        outcomes, lowest = [], math.inf
+        for beta, cells in groups.items():
+            # cells above a failure already found cannot change the error raised
+            outcomes.append(_run_beta(spec, params[beta], [c for c in cells if c[0] < lowest]))
+            if outcomes[-1][1]:
+                lowest = min(lowest, outcomes[-1][1][0])
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = {}
+    for cells, (results, _) in zip(groups.values(), outcomes):
+        done.update(zip((cell for cell, _ in cells), results))
+    results = [done[cell] for cell in sorted(done)]
+    return [cell for cell, _ in results], [rec for _, recs in results for rec in recs]
 
 
 SWEEP_CSV_HEADER = ("d,k,q,beta,emin,emax,err_block_min,err_block_max,"

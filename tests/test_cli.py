@@ -279,6 +279,20 @@ class TestExperimentCommand:
         assert code == 2 and stdout == ""
         assert err == f"zfpkit: error: --threads must be at least 1, got {threads}\n"
 
+    def test_bad_beta_refused_before_any_trial(self, capsys, monkeypatch):
+        # beta 8 comes first, but no trial of it is drawn before beta 70 is refused
+        from zfpkit import experiments
+
+        def no_draw(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(experiments, "_draw_trials", no_draw)
+        code, stdout, err = run(capsys, "experiment", "--threads", "1", "--d", "3",
+                                "--trials", "20000", "--rho-list", "0,7",
+                                "--beta-range", "8,70")
+        assert code == 2 and stdout == ""
+        assert err == "zfpkit: error: beta must be in [0, q+2] = [0, 64], got 70\n"
+
     @pytest.mark.parametrize("shape, precision, betas", [
         ((16,), ("--k", "13", "--q", "9"), ["2", "4", "8", "9"]),
         ((4, 4), ("--q", "12"), ["2", "4", "8", "10"]),

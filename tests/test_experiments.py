@@ -170,6 +170,43 @@ class TestDrawTrials:
         assert str(sweep_error.value) == str(numpy_error.value)
 
 
+class TestDrawTrialLanes:
+    """Rows of mixed cells and band tops equal one call per row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), d=st.sampled_from((1, 2, 3)), float32=st.booleans(),
+           seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 96 - 1)),
+           wide=st.booleans(), m=st.integers(1, 8))
+    def test_lanes_equal_per_cell_calls(self, data, d, float32, seed, wide, m):
+        from zfpkit.experiments import _draw_trials
+
+        e_min = data.draw(st.integers(-20, 20))
+        # the cell indices of one call take the same number of uint32 words
+        cells = data.draw(st.lists(st.integers(2 ** 32, 2 ** 40) if wide else st.integers(0, 40),
+                                   min_size=m, max_size=m))
+        tops = data.draw(st.lists(st.integers(e_min, e_min + 60), min_size=m, max_size=m))
+        trials = data.draw(st.lists(st.one_of(st.integers(0, 5000), st.just(2 ** 32 - 1)),
+                                    min_size=m, max_size=m))
+        blocks, redraw = _draw_trials(d, e_min, np.array(tops), float32, seed, np.array(cells),
+                                      np.array(trials), m)
+        assert blocks.shape == (m, 4 ** d)
+        for r in range(m):
+            want, flag = _draw_trials(d, e_min, tops[r], float32, seed, cells[r], trials[r], 1)
+            assert redraw[r] == flag[0]
+            assert blocks[r].view(np.int64).tolist() == want[0].view(np.int64).tolist()
+
+    def test_cells_of_another_word_count_are_flagged(self):
+        from zfpkit.experiments import _draw_trials
+
+        cells, trials = [5, 2 ** 33, 6], [0, 0, 1]
+        blocks, redraw = _draw_trials(1, 0, 7, False, 3, np.array(cells), np.array(trials), 3)
+        assert redraw.tolist() == [False, True, False]
+        for r in (0, 2):
+            want, flag = _draw_trials(1, 0, 7, False, 3, cells[r], trials[r], 1)
+            assert not flag[0]
+            assert blocks[r].view(np.int64).tolist() == want[0].view(np.int64).tolist()
+
+
 class TestMeasure:
     def test_worked_example_ratio(self):
         rec = measure([5632.0, 3072.0, 400.0, 68.0], TOY)
@@ -319,6 +356,60 @@ class TestSweep:
                              trials=300, seed=10, float32=True)
         cells, _ = sweep(spec, threads=1)
         assert cells[1].err_comp_max > cells[0].err_comp_max
+
+
+class TestSweepStreams:
+    """The cells of a beta run as one stream; errors and violators keep cell order."""
+
+    SPEC = WorstCaseSpec(d=1, k=53, q=62, betas=(8, 24), rhos=(0, 1), trials=30, seed=2)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_error_names_the_lowest_failing_cell(self, monkeypatch, threads):
+        # beta 8 fails at cell 2 (rho 1) and beta 24 at cell 1 (rho 0): the
+        # lower cell is named, though its beta's stream runs second
+        from zfpkit import experiments
+
+        def failing(blocks, p):
+            out = round_trip(blocks, p)
+            rho0 = (np.abs(blocks) == 1.0).all(axis=1)  # e_min = 0: rho 0 draws are +-1
+            out[rho0 if p.beta == 24 else ~rho0] = np.inf
+            return out
+
+        round_trip = experiments._round_trip
+        monkeypatch.setattr(experiments, "_round_trip", failing)
+        with pytest.raises(ValueError, match=r"^trial 0 of the cell rho=0, beta=24 decodes "
+                                             r"beyond the float64 range$"):
+            sweep(self.SPEC, threads=threads)
+
+    def test_one_worker_runs_no_cell_above_a_failure(self, monkeypatch):
+        from zfpkit import experiments
+
+        betas = []
+
+        def failing(blocks, p):
+            betas.append(p.beta)
+            return np.full_like(blocks, np.inf) if p.beta == 8 else round_trip(blocks, p)
+
+        round_trip = experiments._round_trip
+        monkeypatch.setattr(experiments, "_round_trip", failing)
+        with pytest.raises(ValueError, match=r"^trial 0 of the cell rho=0, beta=8 "):
+            sweep(self.SPEC, threads=1)
+        assert 24 not in betas  # cells 1 and 3 come after the failing cell 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_violators_in_enumeration_order(self, monkeypatch, threads):
+        from zfpkit import experiments
+
+        def doubled(blocks, p):  # every trial violates its bound
+            return 2.0 * round_trip(blocks, p)
+
+        round_trip = experiments._round_trip
+        monkeypatch.setattr(experiments, "_round_trip", doubled)
+        spec = WorstCaseSpec(d=1, k=53, q=62, betas=(8, 24), rhos=(0, 1), trials=3, seed=2)
+        cells, violators = sweep(spec, threads=threads)
+        assert [c.violations for c in cells] == [3] * 4
+        assert [(v.e_max, v.beta, v.trial) for v in violators] == [
+            (rho, beta, t) for rho in (0, 1) for beta in (8, 24) for t in range(3)]
 
 
 class TestAnalyzeGrid:
@@ -516,6 +607,37 @@ class TestClearRows:
                     if c:
                         assert not r.violation
                         assert (b.hex(), e.hex()) == (r.err_block.hex(), r.err_comp.hex())
+
+
+def test_check_run_with_rho_per_row_equals_calls_per_rho():
+    from zfpkit.codec import compress_block, decompress_block
+    from zfpkit.experiments import _check_run, applicable_bound_exact
+
+    p = CodecParams(d=1, k=13, q=9, beta=7)
+    bound = applicable_bound_exact(p)
+    small = float(bound.denominator)  # K_beta * 2**rho * small is an integer
+    x = [small * 2 ** 10, small, -small, 2 * small]
+    xs, ws, rho = [], [], []
+    for r in (0, 3):  # at, then one unit above, the componentwise bound
+        for extra in (0, 1):
+            xs.append(x)
+            ws.append(x[:1] + [small + bound.numerator * 2 ** r + extra] + x[2:])
+            rho.append(r)
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        block = (rng.uniform(-1.0, 1.0, 4) * np.exp2(rng.integers(-20, 20, 4))).tolist()
+        xs.append(block)
+        ws.append(decompress_block(compress_block(block, p), p)[1])
+        rho.append(int(rng.choice((0, 3, 45))))
+    xs, ws, rho = np.array(xs), np.array(ws), np.array(rho)
+    got = _check_run(xs, ws, bound, rho)
+    assert got[2][:4].tolist() == [False, True, False, True]
+    for r in (0, 3, 45):
+        rows = rho == r
+        err_block, err_comp, violation = _check_run(xs[rows], ws[rows], bound, r)
+        assert got[2][rows].tolist() == violation.tolist()
+        for g, w in zip(got[:2], (err_block, err_comp)):
+            assert [v.hex() for v in g[rows].tolist()] == [v.hex() for v in w.tolist()]
 
 
 def test_sweep_csv_slack_column_is_block_error_over_k_beta():

@@ -12,6 +12,7 @@ import hashlib
 from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,3 +176,11 @@ def sweep_specs(draw):
 @given(spec=sweep_specs())
 def test_sweep_equals_per_trial_measure(spec):
     assert _outcome(lambda s: sweep(s, threads=1), spec) == _outcome(reference_sweep, spec)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_repeated_beta_equals_per_trial_measure(threads):
+    # the CLI accepts --beta-range 8,8: both betas' cells join one stream
+    spec = WorstCaseSpec(d=2, k=24, q=30, betas=(8, 8), rhos=(0, 7), e_min=-20, trials=30,
+                         seed=4, float32=True)
+    assert _outcome(lambda s: sweep(s, threads=threads), spec) == _outcome(reference_sweep, spec)
