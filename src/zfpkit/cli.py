@@ -70,7 +70,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         parts = [int(p) for p in text.split(":")]
         lo, hi = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        if step < 1 or hi < lo:
+        if len(parts) > 3 or step < 1 or hi < lo:
             raise ValueError(f"bad range {text!r}")
         return tuple(range(lo, hi + 1, step))
     return tuple(int(p) for p in text.split(",") if p != "")

@@ -47,6 +47,11 @@ a plane that the stream cuts off, and tells which planes are coded.
 each run.  A block whose reconstruction is not a finite float64 makes
 ``decompress`` raise :class:`DecodeError` naming the first such block, even
 when the reader meets a fault in a later run of its group.
+
+The record writer and :func:`_gather_digits` are the package's only plane
+coder.  :func:`encode_planes` and :func:`decode_planes` are their one-record
+face for a single :class:`NegaBlock`, kept for the traced per-block replay
+of the benchmark until the production path reports its own stage timings.
 """
 
 from __future__ import annotations
@@ -180,24 +185,6 @@ def bit_planes(nb: NegaBlock, p: CodecParams) -> list[tuple[int, ...]]:
     is the first beta rows.
     """
     return [tuple((u >> pos) & 1 for u in nb.digits) for pos in range(p.q + 1, -1, -1)]
-
-
-def _pack_planes(nb: NegaBlock, p: CodecParams) -> tuple[int, int]:
-    """Coded planes of a nonzero block as one MSB-first int; returns (value, nbits)."""
-    # one test bit per plane; nonzero planes follow raw in coefficient order
-    n = p.n
-    value = nbits = 0
-    for pos in range(p.q + 1, p.q + 1 - p.beta, -1):
-        plane = 0
-        for u in nb.digits:
-            plane = (plane << 1) | ((u >> pos) & 1)
-        if plane:
-            value = (((value << 1) | 1) << n) | plane
-            nbits += 1 + n
-        else:
-            value <<= 1
-            nbits += 1
-    return value, nbits
 
 
 def _stream_bits(payload: bytes, p: CodecParams) -> np.ndarray:
@@ -335,10 +322,6 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
         raise DecodeError("stream ends inside plane payload",
                           block=None if blocks is None else int(blocks[i]),
                           plane=int(np.count_nonzero(at[1:, i] <= limit)))
-    if not p.beta:
-        from .batch import _digit_type
-
-        return np.zeros((len(pos), p.n), dtype=_digit_type(p))
     # a coded plane's n digits follow its test bit; an empty plane reads the zero tail
     start = np.where(np.diff(at, axis=0) > 1, at[:-1] + 1, len(stream) - p.n)
     # item i of this view is stream[i:i + n]
@@ -348,17 +331,30 @@ def _gather_digits(stream: np.ndarray, pos: np.ndarray, p: CodecParams, limit: i
 
 
 def encode_planes(nb: NegaBlock, p: CodecParams) -> CompressedBlock:
-    """Code the kept planes of one block losslessly."""
+    """Code the kept planes of one block losslessly: the one-record face of :func:`_write_records`.
+
+    The record is written with a 7-bit exponent field holding 0, so its
+    planes start at its second byte, and that byte on is the payload.  Only
+    the beta kept planes count, so a block codes like its truncated form.
+    With :func:`decode_planes` it serves the traced per-block replay until
+    the production path reports its own stage timings.
+    """
     if nb.is_zero:
         return CompressedBlock(True, None, p.beta, b"", 0)
-    value, nbits = _pack_planes(nb, p)
-    nbytes = (nbits + 7) // 8
-    payload = (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
-    return CompressedBlock(False, nb.e_max, p.beta, payload, nbits)
+    from .batch import _digit_type
+
+    digits = np.array([nb.digits], dtype=_digit_type(p))
+    record = _write_records(digits, np.ones(1, dtype=bool), np.zeros(1, dtype=np.int64), p, 7)
+    held = int(np.bitwise_or.reduce(digits[0])) >> (p.q + 2 - p.beta)  # kept planes with a digit
+    return CompressedBlock(False, nb.e_max, p.beta, record[1:], p.beta + p.n * held.bit_count())
 
 
 def decode_planes(cb: CompressedBlock, p: CodecParams) -> NegaBlock:
-    """Exact inverse of :func:`encode_planes` on the truncated digit masks."""
+    """Exact inverse of :func:`encode_planes` on the truncated digit masks.
+
+    The one-record face of :func:`_gather_digits`, which reads the payload
+    as the planes of a record that starts at its first bit.
+    """
     if cb.beta != p.beta:
         raise DecodeError(f"record carries beta={cb.beta}, params say {p.beta}")
     if cb.zero_flag:
@@ -391,16 +387,14 @@ def _write_records(digits: np.ndarray, live: np.ndarray, stored: np.ndarray,
     bits[rows, 1:head] = np.unpackbits(stored.astype(">u4").view(np.uint8).reshape(-1, 4),
                                        axis=1)[:, 32 - b_e:]
     keep[rows, :head] = True
-    ncoded = 0
-    if beta:
-        # plane j of a block is coded when any of its masks has digit q + 1 - j
-        coded = _mask_bits(np.bitwise_or.reduce(digits, axis=1)[:, None], p)[:, :, 0].view(bool)
-        record = bits[:, head:head + body].reshape(live.size, beta, 1 + n)
-        record[rows, :, 0] = coded
-        record[rows, :, 1:] = _mask_bits(digits, p)
-        keep[rows, head:head + body] = np.repeat(coded, 1 + n, axis=1)
-        keep[rows, head:head + body:1 + n] = True  # every test bit
-        ncoded = np.count_nonzero(coded, axis=1)[:, None]
+    # plane j of a block is coded when any of its masks has digit q + 1 - j
+    coded = _mask_bits(np.bitwise_or.reduce(digits, axis=1)[:, None], p)[:, :, 0].view(bool)
+    record = bits[:, head:head + body].reshape(live.size, beta, 1 + n)
+    record[rows, :, 0] = coded
+    record[rows, :, 1:] = _mask_bits(digits, p)
+    keep[rows, head:head + body] = np.repeat(coded, 1 + n, axis=1)
+    keep[rows, head:head + body:1 + n] = True  # every test bit
+    ncoded = np.count_nonzero(coded, axis=1)[:, None]
     keep[rows, width - 7:] = np.arange(7) < -(head + beta + n * ncoded) % 8
     return np.packbits(bits[keep]).tobytes()
 

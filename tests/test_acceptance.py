@@ -26,6 +26,7 @@ from zfpkit.bounds import (
     rate_lower_bound,
 )
 from zfpkit.codec import (
+    ArrayHeader,
     CodecParams,
     NegaBlock,
     batch,
@@ -41,6 +42,7 @@ from zfpkit.codec import (
     read_header,
     roundtrip_ref,
 )
+from zfpkit.codec.stream import _read_run, _write_records
 from zfpkit.experiments import (
     WorstCaseSpec,
     applicable_bound_exact,
@@ -271,10 +273,11 @@ def test_a06_fast_path_equals_reference_path():
 
 def test_a07_losslessness():
     with criterion("plane coder identity, negabinary round trip, container dims"):
-        # coder identity on 1e5 random truncated blocks
+        # coder identity on 1e5 random truncated blocks, grouped by parameters
         rng = np.random.default_rng(707)
         configs = [(1, 9), (1, 30), (2, 30), (2, 62)]
         per = 100_000 // len(configs)
+        groups = {}
         for d, q in configs:
             n = 4 ** d
             lim = 1 << q
@@ -282,9 +285,26 @@ def test_a07_losslessness():
                 beta = int(rng.integers(0, q + 3))
                 p = CodecParams(d, 53 if q >= 53 else 24, q, beta, allow_wide_beta=True)
                 ints = [int(v) for v in rng.integers(-lim + 1, lim, size=n)]
-                nb = bitplane_truncate(
-                    NegaBlock(tuple(nega_encode(v, q) for v in ints), q - 1), p)
-                assert decode_planes(encode_planes(nb, p), p) == nb
+                groups.setdefault(p, []).append(bitplane_truncate(
+                    NegaBlock(tuple(nega_encode(v, q) for v in ints), q - 1), p))
+        # every block through the container's record writer and reader, in
+        # runs of batch.chunk_rows blocks; the first of each group also
+        # through the per-block coder
+        b_e = 11
+        for p, blocks in groups.items():
+            assert decode_planes(encode_planes(blocks[0], p), p) == blocks[0]
+            header = ArrayHeader(dims=(1,) * p.d, k=p.k, q=p.q, beta=p.beta, b_e=b_e,
+                                 wide_beta=True)
+            rows = batch.chunk_rows(p)
+            for run in (blocks[i:i + rows] for i in range(0, len(blocks), rows)):
+                e_max = np.array([nb.e_max for nb in run], dtype=np.int64)
+                digits = np.array([nb.digits for nb in run], dtype=batch._digit_type(p))
+                data = _write_records(digits, np.ones(len(run), dtype=bool),
+                                      e_max + (1 << (b_e - 1)) - 1, p, b_e)
+                got_e, got_digits, used = _read_run(data, 0, len(run), header, p)
+                assert used == len(data), p
+                assert np.array_equal(got_e, e_max), p
+                assert np.array_equal(got_digits, digits), p
         # negabinary round trip, exhaustive over +/- 2^q at q = 9, both paths
         for v in range(-(1 << 9), (1 << 9) + 1):
             assert nega_decode(nega_encode(v, 9)) == v

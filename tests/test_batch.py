@@ -5,7 +5,10 @@ arrays for q <= 62, each block through the scalar stages above, and
 write and read the records of every q in runs of blocks.  The reference here builds the same container from the scalar
 stage functions one block at a time (``compress_block``, ``_pack_planes``,
 ``decompress_block``); bytes, decoded values and raised exception types
-must match exactly.
+must match exactly.  ``_pack_planes`` is this module's own plane packer, a
+loop over planes and digits that shares no code with the record writer:
+the package codes planes only through ``stream._write_records``, and
+``encode_planes`` is a one-record call of it.
 """
 
 import numpy as np
@@ -16,23 +19,68 @@ from hypothesis import strategies as st
 from zfpkit.codec import (
     ArrayHeader,
     CodecParams,
+    CompressedBlock,
     ContainerError,
     DecodeError,
     NegaBlock,
     ParamError,
     TransformOverflowError,
+    bitplane_truncate,
     compress,
     compress_block,
     decompress,
     decompress_block,
+    encode_planes,
     partition,
     unpartition,
 )
 from zfpkit.codec import batch
 from zfpkit.codec.pipeline import _lift_forward_steps
-from zfpkit.codec.stream import _pack_header, _pack_planes
+from zfpkit.codec.stream import _pack_header
 
 K_FOR_Q = {9: 13, 30: 24, 61: 53, 62: 53, 80: 53}
+
+
+def _pack_planes(nb, p):
+    """Coded planes of a nonzero block as one MSB-first int; returns (value, nbits)."""
+    # one test bit per plane; nonzero planes follow raw in coefficient order
+    n = p.n
+    value = nbits = 0
+    for pos in range(p.q + 1, p.q + 1 - p.beta, -1):
+        plane = 0
+        for u in nb.digits:
+            plane = (plane << 1) | ((u >> pos) & 1)
+        if plane:
+            value = (((value << 1) | 1) << n) | plane
+            nbits += 1 + n
+        else:
+            value <<= 1
+            nbits += 1
+    return value, nbits
+
+
+MASK_QS = [9, 30, 62, 63, 80, 1024]  # uint64 masks up to q = 62, Python ints above
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 3), q=st.sampled_from(MASK_QS), data=st.data())
+def test_encode_planes_packs_like_the_reference(d, q, data):
+    # encode_planes, a one-record call of the container writer, gives the
+    # reference packer's bytes and bit count; an untruncated block codes like
+    # its truncated form, so only the kept planes count
+    beta = data.draw(st.integers(0, q + 2))
+    p = CodecParams(d, 13, q, beta, allow_wide_beta=True)
+    top = (1 << (q + 2)) - 1
+    held = data.draw(st.integers(0, top))  # the digit positions any coefficient may have
+    digits = data.draw(st.lists(st.integers(0, top), min_size=p.n, max_size=p.n))
+    nb = NegaBlock(tuple(u & held for u in digits), data.draw(st.integers(-1074, 1023)))
+    cut = bitplane_truncate(nb, p)
+    value, nbits = _pack_planes(cut, p)
+    nbytes = (nbits + 7) // 8
+    want = CompressedBlock(False, nb.e_max, beta,
+                           (value << (8 * nbytes - nbits)).to_bytes(nbytes, "big"), nbits)
+    assert encode_planes(cut, p) == want
+    assert encode_planes(nb, p) == want
 
 
 def scalar_container(grid, p, b_e):

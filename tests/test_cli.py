@@ -458,7 +458,7 @@ class TestRefusalsAndOutputs:
         assert err == f"zfpkit: error: {message}\n"
         assert not (tmp_path / "v.raw.zfpk").exists()
 
-    @pytest.mark.parametrize("text", ["8:2", "2:8:0"])
+    @pytest.mark.parametrize("text", ["8:2", "2:8:0", "0:2:1:9"])
     def test_bad_beta_range_refused(self, capsys, text):
         code, stdout, err = run(capsys, "experiment", "--beta-range", text, "--trials", "1",
                                 "--threads", "1")
