@@ -2,7 +2,8 @@
 
 Every quantity is evaluated in exact rational arithmetic (``Fraction``);
 the ``*_exact`` functions expose those rationals and their float wrappers
-round exactly once on the way out.  The central constant is the worst-case
+round exactly once on the way out, or raise BoundDomainError where the
+value lies beyond the float64 range.  The central constant is the worst-case
 relative round-trip error
 
     K_beta = (15/4)**d * ((1+eps_k) * (8/3*eps_beta
@@ -15,7 +16,7 @@ wide-beta regime adds an inverse-transform term and is covered by B_beta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -26,6 +27,15 @@ class BoundDomainError(ValueError):
 
 class InfeasibleAccuracyError(ValueError):
     """No number of kept bit planes can reach the requested accuracy."""
+
+
+# The exact constants are powers of two and of 15/4 with exponents linear in
+# the inputs, and Fraction arithmetic on them slows quadratically in their
+# bits: with every field at 2**16 `bounds` took 0.4 s on a 2-vCPU machine,
+# at 2**20 over a minute; at 2**31 one constant takes gigabytes, and 401
+# digits cannot be formed at all.  2**16 still covers the precisions and
+# exponent ranges of every IEEE format up to binary128.
+FIELD_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -53,6 +63,11 @@ class BoundInputs:
             raise BoundDomainError(f"k and q must be >= 2, got k={self.k}, q={self.q}")
         if self.beta < 0:
             raise BoundDomainError(f"beta must be >= 0, got {self.beta}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None and abs(value) > FIELD_LIMIT:
+                raise BoundDomainError(f"{field.name} must lie within [-{FIELD_LIMIT}, "
+                                       f"{FIELD_LIMIT}], got {value}")
 
 
 def epsilon(m: int) -> Fraction:
@@ -101,7 +116,7 @@ def k_beta_exact(inp: BoundInputs, allow_out_of_regime: bool = False) -> Fractio
 
 
 def k_beta(inp: BoundInputs, allow_out_of_regime: bool = False) -> float:
-    return float(k_beta_exact(inp, allow_out_of_regime))
+    return _float("K_beta", k_beta_exact(inp, allow_out_of_regime))
 
 
 def k_beta_applies(d: int, q: int, beta: int) -> bool:
@@ -128,7 +143,7 @@ def b_beta_exact(inp: BoundInputs) -> Fraction:
 
 
 def b_beta(inp: BoundInputs) -> float:
-    return float(b_beta_exact(inp))
+    return _float("B_beta", b_beta_exact(inp))
 
 
 def componentwise_bound_exact(inp: BoundInputs, allow_out_of_regime: bool = False) -> Fraction:
@@ -142,7 +157,7 @@ def componentwise_bound_exact(inp: BoundInputs, allow_out_of_regime: bool = Fals
 
 
 def componentwise_bound(inp: BoundInputs, allow_out_of_regime: bool = False) -> float:
-    return float(componentwise_bound_exact(inp, allow_out_of_regime))
+    return _float("the componentwise bound", componentwise_bound_exact(inp, allow_out_of_regime))
 
 
 def beta_for_accuracy(inp: BoundInputs) -> int:
@@ -210,6 +225,15 @@ def kbeta_surface(d_range: Iterable[int], beta_range: Iterable[int],
 def _log10(x: Fraction) -> float:
     # stays finite even when float(x) would under/overflow
     return (math.log10(x.numerator) - math.log10(x.denominator)) if x > 0 else math.nan
+
+
+def _float(name: str, x: Fraction) -> float:
+    """float(x), or BoundDomainError naming the quantity where x lies beyond float64."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise BoundDomainError(f"{name} = 10**{_log10(x):.6g} lies beyond the float64 range"
+                               ) from None
 
 
 def write_surface_csv(rows: Sequence[tuple[int, int, float]], fh) -> None:

@@ -15,10 +15,11 @@ changes a stream.
 :func:`measure` is the specification of one trial.  A sweep runs the
 cells of one beta as one stream of trials (:func:`_run_beta`), a run of
 them at a time through the batch stages of :mod:`.codec.batch`; a run may
-cross cells, so its rows carry their own cell index and band top, and the
-results are split back into cells.  Grid analysis reads its own
-container.  Both then judge every block
-with one exact check, :func:`_check_run`.  Its float filter,
+cross cells, so its rows carry their own cell index and band top, and
+each run's errors are folded into its cells' running statistics, so a
+sweep's memory does not grow with its trial count.  Grid analysis reads
+its own container.  Both then judge every block with one exact check,
+:func:`_check_run`.  Its float filter,
 :func:`_clear_rows`, clears a block only where float bounds rounded
 outward prove it within the bound, and reports the same floats as
 :func:`measure`; every block it cannot clear is compared in exact ints on
@@ -33,7 +34,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -89,13 +90,7 @@ class WorstCaseSpec:
 
     def cells(self) -> list[tuple[int, int, int]]:
         """(cell_index, rho, beta) in deterministic enumeration order."""
-        out = []
-        idx = 0
-        for rho in self.rhos:
-            for beta in self.betas:
-                out.append((idx, rho, beta))
-                idx += 1
-        return out
+        return [(i, rho, beta) for i, (rho, beta) in enumerate(product(self.rhos, self.betas))]
 
 
 @dataclass(frozen=True)
@@ -613,30 +608,40 @@ def _round_trip(blocks: np.ndarray, p: CodecParams) -> np.ndarray:
     return out
 
 
+def _fold(acc: tuple[float, float, float], errs: list[float]) -> tuple[float, float, float]:
+    """The running (min, max, sum) ``acc`` extended by ``errs``, summed one at a time in order."""
+    lo, hi, total = acc
+    for e in errs:
+        total += e
+    return min(lo, min(errs)), max(hi, max(errs)), total
+
+
 def _run_beta(spec: WorstCaseSpec, p: CodecParams, cells: list[tuple[int, int]]):
     """The cells ``(cell_index, rho)`` of one beta, run as one stream of trials.
 
     The stream holds every trial of the first cell, then of the next, and
     takes :func:`.codec.batch.chunk_rows` of them at a time through
     :func:`_draw_trials`, :func:`_round_trip` and :func:`_check_run`, so a
-    run may cross cells.  Only a violating trial goes to :func:`measure` for
-    its ExperimentRecord.  Each cell's errors are summed in trial order, so
-    a cell equals a per-trial loop over :func:`measure` bit for bit.
+    run may cross cells.  Each run's errors are folded into its cells'
+    running minima, maxima and sums, the sums one trial at a time in trial
+    order, so a cell equals a per-trial loop over :func:`measure` bit for
+    bit and memory does not grow with ``spec.trials``.  Only a violating
+    trial goes to :func:`measure` for its ExperimentRecord.
 
     Returns ``(results, None)``, one ``(SweepCell, violators)`` per cell,
-    or ``(None, (cell_index, error))`` for the lowest cell whose trials
-    raise: a ValueError for a trial that decodes beyond the float64 range,
-    or what the stages raise.  In a stream of several cells, the cells of a
-    failing run are run again one at a time; a single cell's runs are those
-    of a loop over single cells, so the error is the one that loop raises.
+    or ``(None, (cell_index, error))`` at the first trial of the stream that
+    decodes beyond the float64 range: the stream runs in cell order, so
+    that trial's cell is the lowest failing cell.  Whatever a stage raises
+    propagates unchanged.
     """
     from .codec import batch
 
     trials = spec.trials
     total = len(cells) * trials
-    err_block, err_comp = np.empty(total), np.empty(total)
-    violators: list[list[ExperimentRecord]] = [[] for _ in cells]
     bound = applicable_bound_exact(p)
+    blk = [(math.inf, -math.inf, 0.0)] * len(cells)  # per cell: running min, max and sum
+    cmp = list(blk)
+    violators: list[list[ExperimentRecord]] = [[] for _ in cells]
     rows = batch.chunk_rows(p)
     for start in range(0, total, rows):
         stop = min(start + rows, total)
@@ -646,49 +651,38 @@ def _run_beta(spec: WorstCaseSpec, p: CodecParams, cells: list[tuple[int, int]])
         else:
             lanes, first = np.divmod(np.arange(start, stop), trials)
             cell, rho = np.array(cells)[lanes].T
-        try:
-            blocks, redraw = _draw_trials(spec.d, spec.e_min, spec.e_min + rho, spec.float32,
-                                          spec.seed, cell, first, stop - start)
-            for r in np.flatnonzero(redraw).tolist():
-                k, t = divmod(start + r, trials)
-                blocks[r] = gen_worst_case_block(spec.d, spec.e_min, spec.e_min + cells[k][1],
-                                                 trial_rng(spec.seed, cells[k][0], t),
-                                                 spec.float32)
-            out = _round_trip(blocks, p)
-            finite = np.isfinite(out).all(axis=1)
-            if not finite.all():
-                k, t = divmod(start + int(finite.argmin()), trials)
-                raise ValueError(f"trial {t} of the cell rho={cells[k][1]}, beta={p.beta} "
-                                 f"decodes beyond the float64 range")
-            err_block[start:stop], err_comp[start:stop], violation = _check_run(
-                blocks, out, bound, rho)
-            for r in np.flatnonzero(violation).tolist():
-                k, t = divmod(start + r, trials)
-                violators[k].append(measure(blocks[r].tolist(), p, e_min=spec.e_min,
-                                            e_max=spec.e_min + cells[k][1], seed=spec.seed,
-                                            trial=t, bound=bound))
-        except (ArithmeticError, RuntimeError, ValueError) as error:
-            if len(cells) == 1:
-                return None, (cells[0][0], error)
-            for k in range(start // trials, (stop - 1) // trials + 1):
-                _, failure = _run_beta(spec, p, [cells[k]])
-                if failure:
-                    return None, failure
-            raise
+        blocks, redraw = _draw_trials(spec.d, spec.e_min, spec.e_min + rho, spec.float32,
+                                      spec.seed, cell, first, stop - start)
+        for r in np.flatnonzero(redraw).tolist():
+            k, t = divmod(start + r, trials)
+            blocks[r] = gen_worst_case_block(spec.d, spec.e_min, spec.e_min + cells[k][1],
+                                             trial_rng(spec.seed, cells[k][0], t), spec.float32)
+        out = _round_trip(blocks, p)
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            k, t = divmod(start + int(finite.argmin()), trials)
+            return None, (cells[k][0], ValueError(
+                f"trial {t} of the cell rho={cells[k][1]}, beta={p.beta} "
+                f"decodes beyond the float64 range"))
+        err_block, err_comp, violation = _check_run(blocks, out, bound, rho)
+        for r in np.flatnonzero(violation).tolist():
+            k, t = divmod(start + r, trials)
+            violators[k].append(measure(blocks[r].tolist(), p, e_min=spec.e_min,
+                                        e_max=spec.e_min + cells[k][1], seed=spec.seed,
+                                        trial=t, bound=bound))
+        for k in range(at, (stop - 1) // trials + 1):
+            part = slice(max(k * trials, start) - start, min((k + 1) * trials, stop) - start)
+            blk[k] = _fold(blk[k], err_block[part].tolist())
+            cmp[k] = _fold(cmp[k], err_comp[part].tolist())
     results = []
-    for k, (cell, rho) in enumerate(cells):
-        blk = err_block[k * trials:(k + 1) * trials].tolist()
-        cmp = err_comp[k * trials:(k + 1) * trials].tolist()
-        blk_sum = cmp_sum = 0.0
-        for b, c in zip(blk, cmp):
-            blk_sum += b
-            cmp_sum += c
+    for (_, rho), (blk_min, blk_max, blk_sum), (cmp_min, cmp_max, cmp_sum), found in zip(
+            cells, blk, cmp, violators):
         results.append((SweepCell(
             d=spec.d, k=spec.k, q=spec.q, beta=p.beta, e_min=spec.e_min, e_max=spec.e_min + rho,
-            err_block_min=min(blk), err_block_max=max(blk), err_block_mean=blk_sum / trials,
-            err_comp_min=min(cmp), err_comp_max=max(cmp), err_comp_mean=cmp_sum / trials,
+            err_block_min=blk_min, err_block_max=blk_max, err_block_mean=blk_sum / trials,
+            err_comp_min=cmp_min, err_comp_max=cmp_max, err_comp_mean=cmp_sum / trials,
             k_beta=float(bound), comp_bound=float(bound) * float(2 ** rho),
-            violations=len(violators[k])), violators[k]))
+            violations=len(found)), found))
     return results, None
 
 
@@ -717,9 +711,11 @@ def sweep(spec: WorstCaseSpec, threads: int | None = None):
     one process.  Every beta's CodecParams is built before any trial runs.
     Results are identical whatever the worker count, because each trial's
     RNG stream depends only on (seed, cell index, trial index) and cells
-    are gathered in enumeration order.  When trials fail, the error raised
-    is the one of the lowest failing cell, as a loop over the cells in
-    enumeration order would raise it.
+    are gathered in enumeration order.  When trials decode beyond the
+    float64 range, the error raised names the lowest such cell, as a loop
+    over the cells in enumeration order would; any other exception is an
+    invariant violation and propagates unchanged from the group that
+    raised it.
     """
     n_workers = thread_budget(threads)
     params = {beta: CodecParams(spec.d, spec.k, spec.q, beta,

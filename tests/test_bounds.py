@@ -173,3 +173,34 @@ class TestSurface:
         for beta in (1, 16, 64):
             col = [v for d, b, v in rows if b == beta]
             assert all(a < b for a, b in zip(col, col[1:])), f"not increasing at beta={beta}"
+
+
+class TestFloatRange:
+    def test_float_forms_refuse_values_beyond_float64(self):
+        from zfpkit.bounds import componentwise_bound_exact
+
+        wide = BoundInputs(d=1025, k=53, q=62, beta=8)
+        assert k_beta_exact(wide, True) > 2 ** 1024  # the exact forms still answer
+        with pytest.raises(BoundDomainError, match=r"^K_beta = 10\*\*878\.827 lies beyond"):
+            k_beta(wide, True)
+        with pytest.raises(BoundDomainError, match=r"^B_beta = 10\*\*"):
+            b_beta(BoundInputs(d=1025, k=53, q=62, beta=63))
+        spread = BoundInputs(d=1, k=53, q=62, beta=8, e_max=9999, e_min=0)
+        assert componentwise_bound_exact(spread, True) > 2 ** 1024
+        with pytest.raises(BoundDomainError, match=r"^the componentwise bound = 10\*\*"):
+            componentwise_bound(spread, True)
+
+    def test_underflow_still_reads_zero(self):
+        assert k_beta(BoundInputs(d=1, k=2000, q=2000, beta=2000)) == 0.0
+
+    @pytest.mark.parametrize("field", ["d", "k", "q", "beta", "e_max", "e_min", "b", "b_e"])
+    def test_fields_beyond_the_limit_refused(self, field):
+        from zfpkit.bounds import FIELD_LIMIT
+
+        base = dict(d=1, k=53, q=62, beta=8, e_max=0, e_min=0, b=0, b_e=11)
+        BoundInputs(**dict(base, **{field: FIELD_LIMIT}))
+        with pytest.raises(BoundDomainError, match=rf"^{field} must lie within \[-65536, 65536\]"):
+            BoundInputs(**dict(base, **{field: FIELD_LIMIT + 1}))
+        if field in ("e_max", "e_min", "b"):
+            with pytest.raises(BoundDomainError, match=rf"^{field} must lie within"):
+                BoundInputs(**dict(base, **{field: -FIELD_LIMIT - 1}))

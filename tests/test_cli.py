@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from zfpkit.cli import main
 
@@ -488,3 +490,69 @@ class TestRefusalsAndOutputs:
         assert code == 1
         assert stdout.splitlines()[1:] == ["2,1,0.1,2", "4,1,0.1,2"]
         assert err == "ERROR: 6 block(s) exceeded the error bound\n"
+
+
+EDGE_VALUES = (0, -1, 1, 3, 63, 64, 65, 1025, 2 ** 31, -2 ** 31, int("9" * 401))
+# per command: the numeric options, its flags, and a base argument list that it
+# accepts; the drawn options override the base values
+EDGE_COMMANDS = {
+    "compress": (("--d", "--k", "--q", "--beta", "--b-e"), ("--allow-appendix-b",),
+                 {"--dims": "4,4"}),
+    "bounds": (("--d", "--k", "--q", "--beta", "--b-e", "--e-max", "--e-min", "--b"),
+               ("--surface",), {"--d": "1", "--k": "53", "--q": "62", "--beta": "8"}),
+    "experiment": (("--d", "--k", "--q", "--b-e", "--e-min", "--trials", "--seed",
+                    "--threads", "--beta-range", "--rho-list"), ("--allow-appendix-b",),
+                   {"--trials": "3", "--rho-list": "0", "--threads": "1"}),
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_edge_values_end_in_a_status_with_one_error_line(tmp_path, capsys, monkeypatch, data):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker process would start")
+
+    monkeypatch.setenv("ZFPKIT_THREADS", "1")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    grid = tmp_path / "g.raw"
+    np.random.default_rng(3).standard_normal(16).tofile(grid)
+    command = data.draw(st.sampled_from(sorted(EDGE_COMMANDS)), label="command")
+    numeric, flags, base = EDGE_COMMANDS[command]
+    chosen = data.draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True),
+                       label="options")
+    options = dict(base)
+    for option in chosen:
+        values = [v for v in EDGE_VALUES if v <= 3] if option == "--trials" else EDGE_VALUES
+        options[option] = str(data.draw(st.sampled_from(values), label=option))
+    argv = [command] + ([str(grid)] if command == "compress" else [])
+    argv += [part for item in options.items() for part in item]
+    argv += [flag for flag in flags if data.draw(st.booleans(), label=flag)]
+    if data.draw(st.booleans(), label="f32"):
+        argv += ["--scalar", "f32"]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d", "1025"], "K_beta = 10**878.827 lies beyond the float64 range"),
+    (["--d", "99999"], "d must lie within [-65536, 65536], got 99999"),
+    (["--e-max", "99999", "--e-min", "0"], "e_max must lie within [-65536, 65536], got 99999"),
+    (["--e-max", "9999", "--e-min", "0"], "the componentwise bound = 10**3008.89 lies beyond"),
+    (["--e-max", "2147483648", "--e-min", "0"], "e_max must lie within"),
+    (["--e-min", "-2147483649", "--e-max", "0"], "e_min must lie within"),
+    (["--k", "9" * 401], "k must lie within"),
+    (["--q", "9" * 401], "q must lie within"),
+    (["--e-max", "9" * 401, "--e-min", "0"], "e_max must lie within"),
+    (["--e-max", "0", "--b", "9" * 401], "b must lie within"),
+])
+def test_bounds_beyond_float64_or_the_field_limit_is_one_line(capsys, argv, message):
+    options = {"--d": "1", "--k": "53", "--q": "62", "--beta": "8"}
+    options.update(zip(argv[::2], argv[1::2]))
+    code, stdout, err = run(capsys, "bounds", *(part for item in options.items() for part in item))
+    assert code == 2 and stdout == ""
+    assert err.count("\n") == 1 and err.startswith(f"zfpkit: error: {message}")

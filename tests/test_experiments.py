@@ -412,6 +412,50 @@ class TestSweepStreams:
             (rho, beta, t) for rho in (0, 1) for beta in (8, 24) for t in range(3)]
 
 
+class TestSweepOnePass:
+    """A beta's stream keeps running cell statistics and stops at the failing row."""
+
+    def test_memory_does_not_grow_with_trials(self):
+        import tracemalloc
+
+        sweep(WorstCaseSpec(d=1, k=53, q=62, betas=(32,), trials=3), threads=1)  # warm caches
+        peaks = []
+        for trials in (5000, 50000):  # several runs per cell, and runs that cross cells
+            spec = WorstCaseSpec(d=1, k=53, q=62, betas=(32,), rhos=(0, 7, 14), trials=trials,
+                                 seed=1)
+            tracemalloc.start()
+            try:
+                sweep(spec, threads=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one run of 1024 trials peaks near 1.2 MB; a float64 per trial and metric
+        # would add 2.4 MB at 50000 trials per cell
+        assert max(peaks) < 2_500_000, peaks
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_stage_error_propagates_unchanged(self, monkeypatch, threads):
+        from zfpkit import experiments
+        from zfpkit.codec import TransformOverflowError
+
+        runs = []
+
+        def failing(blocks, p):  # raises on one row of the second cell of a crossing run
+            runs.append(len(blocks))
+            second = np.flatnonzero(~(np.abs(blocks) == 1.0).all(axis=1))  # rho 0 draws are +-1
+            if second.size:
+                raise TransformOverflowError(f"planted at row {second[5]} of {len(blocks)}")
+            return round_trip(blocks, p)
+
+        round_trip = experiments._round_trip
+        monkeypatch.setattr(experiments, "_round_trip", failing)
+        spec = WorstCaseSpec(d=1, k=53, q=62, betas=(8, 24), rhos=(0, 1), trials=30, seed=2)
+        with pytest.raises(TransformOverflowError, match=r"^planted at row 35 of 60$"):
+            sweep(spec, threads=threads)
+        if threads == 1:
+            assert runs == [60]  # the run that crosses cells, and no re-run of its cells
+
+
 class TestAnalyzeGrid:
     def test_constant_grid_compresses_steeply(self):
         grid = np.full((16, 16), 3.25)

@@ -48,3 +48,17 @@ def test_import_rule_resolves_relative_imports():
     imports = zfpkit_imports(PACKAGE / "codec" / "batch.py")
     assert ("zfpkit.codec.pipeline", "_lift_forward_steps") in imports
     assert ("zfpkit.codec.params", "TransformOverflowError") in imports
+
+
+def test_no_handler_catches_runtime_or_arithmetic_errors():
+    # such a clause would also catch TransformOverflowError, an invariant
+    # violation that must surface; name the narrower class that is expected
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(isinstance(name, ast.Name) and name.id in ("RuntimeError", "ArithmeticError")
+                       for name in names):
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert not found, f"except clauses naming RuntimeError or ArithmeticError: {', '.join(found)}"
